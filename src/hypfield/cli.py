@@ -8,15 +8,17 @@ failure.  All commands are deterministic given their flags and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .curve import LambdaVector, discriminant, in_sigma
+from .curve import LambdaVector, discriminant
 from .exactmath import format_rational, parse_rational
 from .exprlang import ExpressionIndexError, ExpressionSyntaxError, parse
 from .numerics1 import (
+    DegenerateLattice,
     InsufficientSamples,
     LatticeContext,
     identity_residuals,
@@ -48,21 +50,45 @@ EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
 
-def _genus_arg(value: str) -> int:
-    try:
-        g = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"genus must be an integer, got {value!r}")
-    if g < 1:
-        raise argparse.ArgumentTypeError("genus must be >= 1")
-    return g
+def _positive_int(name: str):
+    """An argparse type accepting integers >= 1, naming ``name`` on error."""
+
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {value!r}")
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 1")
+        return n
+
+    return parse
+
+
+_genus_arg = _positive_int("genus")
+_samples_arg = _positive_int("samples")
 
 
 def _parse_lambda_list(text: str) -> list:
     try:
         return [parse_rational(part) for part in text.split(",")]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
+
+
+def _lattice_arg(text: str) -> LatticeContext:
+    try:
+        parts = [float(part) for part in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 4 or not all(math.isfinite(x) for x in parts):
+        raise argparse.ArgumentTypeError(
+            f"--lattice needs four finite numbers re1,im1,re2,im2, got {text!r}"
+        )
+    try:
+        return LatticeContext(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+    except (DegenerateLattice, ArithmeticError) as exc:  # e.g. periods of 1e300 overflow
+        raise argparse.ArgumentTypeError(f"unusable lattice {text!r}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="exact Jacobian ranks of the parameter map")
     p_rank.add_argument("--genus", type=_genus_arg, required=True)
-    p_rank.add_argument("--samples", type=int, default=10)
+    p_rank.add_argument("--samples", type=_samples_arg, default=10)
     p_rank.add_argument("--seed", type=int, default=0)
     p_rank.add_argument(
         "--point", type=_parse_lambda_list, default=None,
@@ -116,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_num = sub.add_parser("numeric", help="genus-1 numeric identity validation")
     p_num.add_argument("--genus", type=_genus_arg, default=1)
-    p_num.add_argument("--samples", type=int, default=20)
+    p_num.add_argument("--samples", type=_samples_arg, default=20)
     p_num.add_argument("--seed", type=int, default=0)
     p_num.add_argument("--tol", type=float, default=1e-8)
     p_num.add_argument(
-        "--lattice", type=str, default=None,
+        "--lattice", type=_lattice_arg, default=None,
         help="fixed lattice as re1,im1,re2,im2 (default: random per sample)",
     )
 
@@ -128,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "independence", help="monomial-matrix rank experiment"
     )
     p_ind.add_argument("--lattices", type=int, default=6)
-    p_ind.add_argument("--samples", type=int, default=40)
+    p_ind.add_argument("--samples", type=_samples_arg, default=40)
     p_ind.add_argument("--weight-bound", type=int, default=8)
     p_ind.add_argument("--seed", type=int, default=7)
     p_ind.add_argument("--tol", type=float, default=1e-6)
@@ -232,7 +258,7 @@ def cmd_disc(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     d = discriminant(lv)
-    membership = "IN" if in_sigma(lv) else "NOT IN"
+    membership = "IN" if d == 0 else "NOT IN"  # in_sigma's test, on d already computed
     print(f"disc = {format_rational(d)}; lambda {membership} Sigma_g")
     return EXIT_OK
 
@@ -242,16 +268,9 @@ def cmd_numeric(args) -> int:
         print("error: numeric validation is genus-1 only", file=sys.stderr)
         return EXIT_USAGE
     rng = random.Random(args.seed)
-    fixed = None
-    if args.lattice:
-        parts = [float(x) for x in args.lattice.split(",")]
-        if len(parts) != 4:
-            print("error: --lattice needs re1,im1,re2,im2", file=sys.stderr)
-            return EXIT_USAGE
-        fixed = LatticeContext(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
     worst = 0.0
     for _ in range(args.samples):
-        ctx = fixed if fixed is not None else random_lattice(rng)
+        ctx = args.lattice if args.lattice is not None else random_lattice(rng)
         z = random_sample_point(ctx, rng)
         report = identity_residuals(ctx, z)
         worst = max(worst, report.max_scaled)

@@ -209,14 +209,27 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary powering that computes no product it does not use.
+
+        ``p ** n`` takes ``n.bit_length() - 1`` squarings and
+        ``popcount(n) - 1`` further products; ``p ** 0`` and ``p ** 1`` take
+        none.  The result starts from the first factor it needs, not from
+        ``Poly.one()``, and the base is never squared past the top bit.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.one()
+        if n == 0:
+            return Poly.one()
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
@@ -262,6 +275,10 @@ class Poly:
         """Replace every mapped symbol by its polynomial image.
 
         Substitution is a ring homomorphism; unmapped symbols pass through.
+        Each distinct ``(symbol, exponent)`` image is powered once (see
+        ``__pow__``); a term with k factors then takes k - 1 products, and
+        its coefficient-scaled terms are added straight into one running
+        coefficient dict, so a constant or single-factor term takes none.
         """
         if not env:
             return self
@@ -277,13 +294,16 @@ class Poly:
                     cache[key] = base ** e
             return cache[key]
 
-        out = Poly.zero()
+        one = Poly.one()
+        out = {}
         for mono, c in self.terms.items():
-            term = Poly.const(c)
-            for sym, e in mono:
-                term = term * image_pow(sym, e)
-            out = out + term
-        return out
+            factors = [image_pow(sym, e) for sym, e in mono] or [one]
+            term = factors[0]
+            for image in factors[1:]:
+                term = term * image
+            for m, v in term.terms.items():
+                out[m] = out.get(m, 0) + c * v
+        return Poly(out)
 
     def evaluate(self, env: dict):
         """Numeric evaluation; env must cover every symbol of the polynomial.

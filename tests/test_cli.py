@@ -162,3 +162,43 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disc", "--genus", "1", "--lambda=1/0,2"],
+        ["numeric", "--genus", "1", "--lattice", "a,b,c,d"],
+        ["numeric", "--lattice", "1,0,2,0"],
+        ["numeric", "--lattice", "1,0,0.25"],
+        ["numeric", "--lattice", "1,0,nan,1"],
+        ["numeric", "--lattice", "1e300,0,0,1e300"],
+        ["rank", "--genus", "1", "--samples", "-3"],
+        ["numeric", "--samples", "0"],
+        ["independence", "--samples", "0"],
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
+    import hypfield.cli as cli
+
+    calls = []
+    real = cli.discriminant
+
+    def counting(lv):
+        calls.append(lv)
+        return real(lv)
+
+    # patched in both namespaces, so a call through curve.in_sigma counts too
+    monkeypatch.setattr(cli, "discriminant", counting)
+    monkeypatch.setattr("hypfield.curve.discriminant", counting)
+    code, out, _ = run(capsys, "disc", "--genus", "1", "--lambda=-3,2")
+    assert code == EXIT_OK
+    assert "lambda IN Sigma_g" in out
+    assert len(calls) == 1

@@ -1,0 +1,41 @@
+"""Byte identity of ``hypfield table`` and ``hypfield verify`` output.
+
+The digests below are SHA-256 hashes of the stdout of
+``python -m hypfield.cli {table,verify} --genus g`` for g = 1..8, captured
+before the exact ``Poly.__pow__`` and the one-pass ``Poly.substitute``
+replaced the previous loops.  Any change to the polynomial core must keep
+every byte of these outputs.
+"""
+
+import hashlib
+
+import pytest
+
+from hypfield.cli import EXIT_OK, main
+
+GOLDEN = {
+    ("table", 1): "0637df51c9ef2ef945c9daa5679538387a1b420f17cc701534d5cf2acd28a2d4",
+    ("verify", 1): "160bc204ac6af3f770941ed2c54ecb115229beffa4f100ef190ce43db5fdb88f",
+    ("table", 2): "4e4c032dac78f2e30f30cc19cd6f9876dfe5c4400e2c5c09c4597006314128c1",
+    ("verify", 2): "8d4fd72d2da2e9e8786de88ac4415cefb0988e1fb807c02a7e0a2eaf7c53968c",
+    ("table", 3): "e3709a9512c1d32f33c6b0b4cea1b9108b81aefe52af24ba60b23b7bd5f555a0",
+    ("verify", 3): "f33ddde397d493a3c2f335ec349ce6d7c6203be84d1485e9e83cd574a9e9052d",
+    ("table", 4): "d68e86cdb72f9ca9d4a13d0b6fbe8bf589cf5f8c27fa2f812dc07d0964a28d5d",
+    ("verify", 4): "20598fe6d4021685f02c803d54bfbb243dec97c43dfd9fafdd34cd317dbd243e",
+    ("table", 5): "3a1a2e00c7439bd88edf36c59f3e929459d5246c9ab753a60590a6908af34cf5",
+    ("verify", 5): "0fa28cc61cce940b91220676aeadf2884a07115fd944a90d65099f4f01ca9195",
+    ("table", 6): "db6cd4086a57aa560ea18a9ab9f48b1658ef04e8dcc717458b8a843983636b6d",
+    ("verify", 6): "6044c166750b5c8cc311ad3c914327f91c79205073e1d5f4e37ae3834a48968f",
+    ("table", 7): "a9d88a286dfa5524ee2aa793a8471fe01923d49ba50b9de4975626243d8c2835",
+    ("verify", 7): "87137f2f720d500726f692523de84a3fe071a8ad1304ddc9324ced6847ae420f",
+    ("table", 8): "b7dbd3ae637ee5c76d5a33799f9f372eb4a17b68a070d2d7e97e067e9597c2e1",
+    ("verify", 8): "6ca3f3d1c703759dcebbc8d2d069b2c0a897acc7ebcec51277ac3215fbc10301",
+}
+
+
+@pytest.mark.parametrize("command,genus", sorted(GOLDEN, key=lambda k: (k[1], k[0])))
+def test_output_digest(capsys, command, genus):
+    code = main([command, "--genus", str(genus)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, genus]

@@ -116,6 +116,31 @@ def test_pow_negative_rejected():
         Poly.one() ** -1
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 8])
+def test_pow_multiply_count(monkeypatch, n):
+    """p ** n takes n.bit_length() - 1 squarings plus popcount(n) - 1 further
+    products, and never forms a power of degree above n."""
+    x = Poly.symbol(b1(1)) + Poly.symbol(b2(1))
+    degrees = []
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        out = mul(a, b)
+        degrees.append(max(sum(e for _, e in m) for m in out.terms))
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    result = x ** n
+    monkeypatch.undo()
+    expected = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1
+    assert len(degrees) == expected
+    assert max(degrees, default=0) <= n
+    product = Poly.one()
+    for _ in range(n):
+        product = product * x
+    assert result == product
+
+
 @given(polys())
 @settings(max_examples=30, deadline=None)
 def test_scalar_coercion(p):
@@ -154,6 +179,52 @@ def test_substitute_commutes_with_evaluation(p):
 def test_substitute_empty_env_is_identity():
     p = Poly.symbol(b1(1)) * 3 + 1
     assert p.substitute({}) is p
+
+
+def naive_substitute(p, env):
+    """Reference: every factor as a repeated product, every term summed as a Poly."""
+    total = Poly.zero()
+    for mono, c in p.terms.items():
+        term = Poly.const(c)
+        for sym, e in mono:
+            image = env.get(sym, Poly.symbol(sym))
+            for _ in range(e):
+                term = term * image
+        total = total + term
+    return total
+
+
+# b2_1, b2_3, b3_1, b3_5, w_3_5 and la_4 stay unmapped; the image of w_3_3
+# holds a mapped symbol, which must not be substituted a second time.
+SUB_ENV = {
+    b1(1): Poly.symbol(b2(1)),
+    b1(3): Poly.symbol(b2(1)) * Poly.symbol(b3(1)) - Poly.const(Fraction(1, 2)),
+    w(3, 3): Poly.symbol(b1(3)) + 2 * Poly.symbol(la(4)),
+    la(8): Poly.zero(),
+}
+
+
+def seeded_poly(rng):
+    """A constant term plus up to 8 terms of 1-3 symbols with exponents 1-3."""
+    terms = {(): Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))}
+    for _ in range(rng.randint(1, 8)):
+        picks = rng.sample(SYMS, rng.randint(1, 3))
+        mono = tuple(sorted(((s, rng.randint(1, 3)) for s in picks), key=lambda it: it[0].key))
+        terms[mono] = Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.randint(1, 4))
+    return Poly(terms)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_substitute_matches_naive_reference(seed):
+    rng = random.Random(seed)
+    p = seeded_poly(rng)
+    got, expected = p.substitute(SUB_ENV), naive_substitute(p, SUB_ENV)
+    assert got == expected
+    assert str(got) == str(expected)
+    # b1_1 -> b2_1 makes p and its renamed copy substitute to the same image,
+    # so their difference cancels to zero term by term.
+    renamed = naive_substitute(p, {b1(1): Poly.symbol(b2(1))})
+    assert (p - renamed).substitute(SUB_ENV).is_zero()
 
 
 @given(polys(), polys())
