@@ -87,7 +87,7 @@ def _lattice_arg(text: str) -> LatticeContext:
         )
     try:
         return LatticeContext(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    except (DegenerateLattice, ArithmeticError) as exc:  # e.g. periods of 1e300 overflow
+    except DegenerateLattice as exc:
         raise argparse.ArgumentTypeError(f"unusable lattice {text!r}: {exc}")
 
 

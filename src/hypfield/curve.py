@@ -18,7 +18,7 @@ class LambdaVector:
     values: Mapping[int, Fraction]  # s -> value, s in {4, 6, ..., 4g+2}
 
     def __post_init__(self):
-        expected = set(range(4, 4 * self.genus + 3, 2))
+        expected = set(GenusContext(self.genus).lambda_indices)
         if set(self.values) != expected:
             raise ValueError(
                 f"parameter indices {sorted(self.values)} != {sorted(expected)}"
@@ -26,7 +26,7 @@ class LambdaVector:
 
     @classmethod
     def from_sequence(cls, genus: int, seq) -> "LambdaVector":
-        indices = list(range(4, 4 * genus + 3, 2))
+        indices = GenusContext(genus).lambda_indices
         seq = list(seq)
         if len(seq) != len(indices):
             raise ValueError(f"expected {len(indices)} parameters, got {len(seq)}")
@@ -38,11 +38,8 @@ def curve_poly(lv: LambdaVector):
 
     The coefficient of x^(2g+1-m) is la_{2m} for m >= 2 and zero at x^(2g).
     """
-    g = lv.genus
-    coeffs = [Fraction(1), Fraction(0)]
-    for m in range(2, 2 * g + 2):
-        coeffs.append(Fraction(lv.values[2 * m]))
-    return coeffs
+    indices = GenusContext(lv.genus).lambda_indices
+    return [Fraction(1), Fraction(0)] + [Fraction(lv.values[s]) for s in indices]
 
 
 def _derivative(coeffs):
@@ -50,12 +47,17 @@ def _derivative(coeffs):
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def discriminant(lv: LambdaVector) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) res(f, f') for the monic curve polynomial."""
-    f = curve_poly(lv)
-    n = len(f) - 1
+def _discriminant(coeffs):
+    """disc(f) = (-1)^(n(n-1)/2) res(f, f') for monic f of degree n, given by
+    descending coefficients over Q or over the polynomial ring."""
+    n = len(coeffs) - 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * sylvester_resultant(f, _derivative(f))
+    return sign * sylvester_resultant(coeffs, _derivative(coeffs))
+
+
+def discriminant(lv: LambdaVector) -> Fraction:
+    """The discriminant of the monic curve polynomial at a parameter point."""
+    return _discriminant(curve_poly(lv))
 
 
 def in_sigma(lv: LambdaVector) -> bool:
@@ -65,11 +67,5 @@ def in_sigma(lv: LambdaVector) -> bool:
 
 def symbolic_discriminant(ctx: GenusContext) -> Poly:
     """The discriminant as a polynomial in the parameter symbols."""
-    coeffs = [Poly.one(), Poly.zero()]
-    for m in range(2, 2 * ctx.g + 2):
-        coeffs.append(Poly.symbol(la(2 * m)))
-    n = len(coeffs) - 1
-    deriv = [Fraction(n - i) * c for i, c in enumerate(coeffs[:-1])]
-    res = sylvester_resultant(coeffs, deriv)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
+    symbols = [Poly.symbol(la(s)) for s in ctx.lambda_indices]
+    return _discriminant([Poly.one(), Poly.zero()] + symbols)

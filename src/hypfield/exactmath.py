@@ -1,18 +1,17 @@
-"""Exact rational arithmetic, dense rational matrices, rank and resultants.
+"""Exact rational arithmetic, rank, determinants and resultants.
 
 Rational numbers are plain :class:`fractions.Fraction` values.  The stdlib
 type already keeps every value reduced with a positive denominator and
 serializes as ``num/den`` (just ``n`` when the denominator is 1), which is
 exactly the canonical form used throughout this package.
 
-Rank is computed by fraction-free (Bareiss) elimination on an integer
-rescaling of the matrix, which keeps intermediate entries as minors of the
-input instead of letting numerators and denominators blow up.
+Rank and determinant share one fraction-free (Bareiss) elimination on an
+integer rescaling of the matrix, which keeps intermediate entries as minors
+of the input instead of letting numerators and denominators blow up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -40,56 +39,35 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
+def _integer_rows(rows: Sequence[Sequence]) -> tuple:
+    """Clear denominators row by row.
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(as_fraction(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def rank(self) -> int:
-        return rank_exact(self)
-
-
-def _integer_rows(m: RationalMatrix) -> list:
-    """Clear denominators row by row; row scaling does not change rank."""
+    Returns the integer rows and the product of the row multipliers: row
+    scaling keeps the rank and multiplies the determinant by that product.
+    """
+    ncols = len(rows[0]) if rows else 0
     out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
-    return out
+    scale = 1
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged rows")
+        row = [as_fraction(x) for x in row]
+        mult = lcm(*(f.denominator for f in row))
+        scale *= mult
+        out.append([f.numerator * (mult // f.denominator) for f in row])
+    return out, scale
 
 
-def rank_exact(m: RationalMatrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination. Exact, no tolerance."""
-    a = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    rank = 0
+def _bareiss(a: list) -> tuple:
+    """Fraction-free Gaussian elimination of an integer matrix, in place.
+
+    Returns ``(rank, sign, last)``: the rank, the sign of the row swaps made
+    and the last pivot.  For a square matrix of full rank the last pivot is
+    the determinant of the row-swapped matrix.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -100,6 +78,7 @@ def rank_exact(m: RationalMatrix) -> int:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 # Bareiss step: the division by the previous pivot is exact.
@@ -107,44 +86,23 @@ def rank_exact(m: RationalMatrix) -> int:
             a[i][c] = 0
         prev = a[r][c]
         r += 1
-        rank += 1
-    return rank
+    return r, sign, prev
 
 
-def _det_bareiss_int(a: list) -> int:
-    """Determinant of a square integer matrix, fraction-free with row swaps."""
+def rank_exact(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of a matrix given by its rows. Exact, no tolerance."""
+    a, _ = _integer_rows(rows)
+    return _bareiss(a)[0]
+
+
+def det_exact(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix of rationals given by its rows."""
+    a, scale = _integer_rows(rows)
     n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def det_exact(m: RationalMatrix) -> Fraction:
-    """Exact determinant of a square matrix of Fractions."""
-    if m.rows != m.cols:
+    if a and len(a[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    a = []
-    scale = Fraction(1)
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = lcm(*(f.denominator for f in row))
-        scale *= mult
-        a.append([int(f * mult) for f in row])
-    return Fraction(_det_bareiss_int(a), 1) / scale
+    rank, sign, last = _bareiss(a)
+    return Fraction(sign * last if rank == n else 0, scale)
 
 
 def det_generic(rows: list):
@@ -189,20 +147,14 @@ def sylvester_matrix(f: Sequence, h: Sequence) -> list:
     """Sylvester matrix of two polynomials given by descending coefficients."""
     if len(f) == 0 or len(h) == 0:
         raise EmptyPolynomial("polynomial with degree < 0")
-    n = len(f) - 1
-    m = len(h) - 1
-    size = n + m
+    size = len(f) + len(h) - 2
     rows = []
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(f):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(h):
-            row[i + j] = c
-        rows.append(row)
+    # deg h shifted copies of f, then deg f shifted copies of h
+    for coeffs, copies in ((f, len(h) - 1), (h, len(f) - 1)):
+        for i in range(copies):
+            row = [0] * size
+            row[i : i + len(coeffs)] = coeffs
+            rows.append(row)
     return rows
 
 
@@ -220,6 +172,5 @@ def sylvester_resultant(f: Sequence, h: Sequence):
         return Fraction(1)
     rows = sylvester_matrix(f, h)
     if all(isinstance(e, (Fraction, int)) for row in rows for e in row):
-        mat = RationalMatrix.from_rows(rows)
-        return det_exact(mat)
+        return det_exact(rows)
     return det_generic(rows)

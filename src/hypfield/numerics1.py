@@ -121,8 +121,11 @@ class LatticeContext:
     lambda6: complex = field(init=False)
 
     def __post_init__(self):
-        v1, v2 = gauss_reduce(self.omega1, self.omega2)
-        g2, g3 = eisenstein(v1, v2, self.eisenstein_cutoff)
+        try:
+            v1, v2 = gauss_reduce(self.omega1, self.omega2)
+            g2, g3 = eisenstein(v1, v2, self.eisenstein_cutoff)
+        except ArithmeticError as exc:  # periods near 1e300 or 1e-300
+            raise DegenerateLattice(f"periods out of floating-point range: {exc}")
         disc = g2 ** 3 - 27.0 * g3 ** 2
         scale = max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
         if abs(disc) < 1e-10 * scale:
@@ -302,9 +305,16 @@ def random_sample_point(
     ctx: LatticeContext, rng: random.Random, margin: float = 0.2
 ) -> complex:
     """A point of the fundamental cell at distance >= margin periods from
-    the lattice."""
+    the lattice; ValueError when no such point exists."""
     v1, v2 = ctx.reduced1, ctx.reduced2
     floor = margin * abs(v1)
+    # covering radius: circumradius of the non-obtuse triangle 0, v1, s*v2,
+    # s the sign of Re(v2 conj(v1)); no point lies farther from the lattice
+    s = 1 if (v2 * v1.conjugate()).real >= 0 else -1
+    area = abs((v1.conjugate() * v2).imag)
+    covering = abs(v1) * abs(v2) * abs(v2 - s * v1) / (2 * area)
+    if floor >= covering:
+        raise ValueError(f"margin {margin} is beyond the lattice's covering radius")
     while True:
         z = rng.uniform(0.0, 1.0) * v1 + rng.uniform(0.0, 1.0) * v2
         if ctx.lattice_distance(z) >= floor:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import RationalMatrix, rank_exact
+from .exactmath import rank_exact
 from .polyring import Poly, b1, b2, b3
 from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
@@ -135,10 +135,7 @@ def p_jacobian(pm: PMap) -> list:
 def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
     """Exact rank of the Jacobian of the parameter map at a rational point."""
     env = _point_env(pm, point)
-    rows = [
-        [entry.evaluate(env) for entry in row] for row in p_jacobian(pm)
-    ]
-    return rank_exact(RationalMatrix.from_rows(rows))
+    return rank_exact([[e.evaluate(env) for e in row] for row in p_jacobian(pm)])
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

@@ -76,3 +76,25 @@ def test_symbolic_matches_numeric_evaluation():
         lv = LambdaVector.from_sequence(2, vals)
         env = {la(s): v for s, v in lv.values.items()}
         assert sym.evaluate(env) == discriminant(lv)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_symbolic_discriminant_matches_sympy(g):
+    # independent oracle: sympy's discriminant of the same monic polynomial,
+    # compared term by term as exponent vector -> coefficient
+    sympy = pytest.importorskip("sympy")
+    indices = GenusContext(g).lambda_indices
+    lams = sympy.symbols([f"la{s}" for s in indices])
+    x = sympy.Symbol("x")
+    f = x ** (2 * g + 1) + sum(
+        lam * x ** (2 * g + 1 - s // 2) for s, lam in zip(indices, lams)
+    )
+    want = {
+        exps: Fraction(int(c.p), int(c.q))
+        for exps, c in sympy.Poly(sympy.discriminant(f, x), *lams).terms()
+    }
+    got = {}
+    for mono, coeff in symbolic_discriminant(GenusContext(g)).terms.items():
+        powers = {sym.indices[0]: e for sym, e in mono}
+        got[tuple(powers.get(s, 0) for s in indices)] = coeff
+    assert got == want

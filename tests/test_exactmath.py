@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from hypfield.exactmath import (
     EmptyPolynomial,
-    RationalMatrix,
     as_fraction,
     det_exact,
     det_generic,
@@ -110,14 +109,14 @@ def test_format_rational_shapes():
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_gaussian_oracle(rows):
-    m = RationalMatrix.from_rows(rows)
-    assert rank_exact(m) == gauss_rank(rows)
+    assert rank_exact(rows) == gauss_rank(rows)
 
 
 def test_rank_known_values():
-    assert RationalMatrix.from_rows([[1, 2], [2, 4], [3, 6]]).rank() == 1
-    assert RationalMatrix.from_rows([[1, 0], [0, 1]]).rank() == 2
-    assert RationalMatrix.from_rows([[0, 0], [0, 0]]).rank() == 0
+    assert rank_exact([[1, 2], [2, 4], [3, 6]]) == 1
+    assert rank_exact([[1, 0], [0, 1]]) == 2
+    assert rank_exact([[0, 0], [0, 0]]) == 0
+    assert rank_exact([]) == 0
 
 
 @given(matrices(), small_fractions.filter(bool))
@@ -125,15 +124,14 @@ def test_rank_known_values():
 def test_rank_invariant_under_row_scaling(rows, scale):
     scaled = [[scale * x for x in rows[0]]] + rows[1:]
     assert gauss_rank(scaled) == gauss_rank(rows)
-    assert (
-        rank_exact(RationalMatrix.from_rows(scaled))
-        == rank_exact(RationalMatrix.from_rows(rows))
-    )
+    assert rank_exact(scaled) == rank_exact(rows)
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
-        RationalMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        rank_exact([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        det_exact([[1, 2], [3]])
 
 
 # --- determinants -----------------------------------------------------------
@@ -141,8 +139,7 @@ def test_ragged_rows_rejected():
 @given(matrices(max_dim=4, square=True))
 @settings(max_examples=60, deadline=None)
 def test_det_matches_cofactor_oracle(rows):
-    m = RationalMatrix.from_rows(rows)
-    assert det_exact(m) == cofactor_det(rows)
+    assert det_exact(rows) == cofactor_det(rows)
 
 
 @given(matrices(max_dim=4, square=True))
@@ -151,9 +148,7 @@ def test_det_row_swap_negates(rows):
     if len(rows) < 2:
         return
     swapped = [rows[1], rows[0]] + rows[2:]
-    assert det_exact(RationalMatrix.from_rows(swapped)) == -det_exact(
-        RationalMatrix.from_rows(rows)
-    )
+    assert det_exact(swapped) == -det_exact(rows)
 
 
 def test_det_multiplicative():
@@ -165,19 +160,33 @@ def test_det_multiplicative():
             [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
-        det = lambda m: det_exact(RationalMatrix.from_rows(m))
-        assert det(ab) == det(a) * det(b)
+        assert det_exact(ab) == det_exact(a) * det_exact(b)
 
 
 def test_det_non_square_rejected():
-    with pytest.raises(ValueError):
-        det_exact(RationalMatrix.from_rows([[1, 2]]))
+    with pytest.raises(ValueError, match="non-square"):
+        det_exact([[1, 2]])
+
+
+def test_det_of_empty_matrix_is_one():
+    assert det_exact([]) == 1
+
+
+@given(matrices(max_dim=5, square=True), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_det_vanishes_iff_rank_deficient(rows, singular):
+    # rank and determinant share one elimination; replacing the last row by
+    # the sum of the others makes the singular case common
+    n = len(rows)
+    if singular and n > 1:
+        rows = rows[:-1] + [[sum(col) for col in zip(*rows[:-1])]]
+    assert (det_exact(rows) == 0) == (rank_exact(rows) < n)
 
 
 @given(matrices(max_dim=4, square=True))
 @settings(max_examples=40, deadline=None)
 def test_det_generic_agrees_on_rationals(rows):
-    assert det_generic(rows) == det_exact(RationalMatrix.from_rows(rows))
+    assert det_generic(rows) == det_exact(rows)
 
 
 def test_det_generic_polynomial_entries():

@@ -101,6 +101,14 @@ def test_context_rejects_degenerate_invariants():
         LatticeContext(1.0, 2.0)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_context_rejects_periods_out_of_float_range(scale):
+    # the reduction overflows at 1e300 and divides by an underflowed zero
+    # at 1e-300; both are unusable lattices, not arithmetic crashes
+    with pytest.raises(DegenerateLattice):
+        LatticeContext(scale, scale * 1j)
+
+
 def test_context_parameters():
     ctx = LatticeContext(1.0, complex(0.2, 1.1))
     assert ctx.lambda4 == -ctx.g2 / 4.0
@@ -166,6 +174,29 @@ def test_random_sample_point_respects_margin():
     for _ in range(10):
         z = random_sample_point(CTX, rng, margin=0.25)
         assert CTX.lattice_distance(z) >= 0.25 * abs(CTX.reduced1) - 1e-12
+
+
+def test_random_sample_point_rejects_unreachable_margin():
+    # no point lies farther than 1/sqrt(2) periods from the square lattice
+    square = LatticeContext(1.0, 1j)
+    with pytest.raises(ValueError):
+        random_sample_point(square, random.Random(0), margin=0.9)
+    z = random_sample_point(square, random.Random(0))
+    assert square.lattice_distance(z) >= 0.2
+
+
+@pytest.mark.parametrize(
+    "omega2, radius",
+    [(1j, 1 / math.sqrt(2)), (cmath.exp(1j * math.pi / 3), 1 / math.sqrt(3))],
+)
+def test_random_sample_point_margin_limit_is_the_covering_radius(omega2, radius):
+    # square and hexagonal lattices: just inside the covering radius a point
+    # is still found, just outside it the call refuses instead of looping
+    ctx = LatticeContext(1.0, omega2)
+    z = random_sample_point(ctx, random.Random(1), margin=radius - 0.01)
+    assert ctx.lattice_distance(z) >= radius - 0.01
+    with pytest.raises(ValueError):
+        random_sample_point(ctx, random.Random(1), margin=radius + 0.001)
 
 
 # --- monomial basis and rank experiment -------------------------------------
