@@ -124,10 +124,12 @@ class LatticeContext:
         try:
             v1, v2 = gauss_reduce(self.omega1, self.omega2)
             g2, g3 = eisenstein(v1, v2, self.eisenstein_cutoff)
-        except ArithmeticError as exc:  # periods near 1e300 or 1e-300
-            raise DegenerateLattice(f"periods out of floating-point range: {exc}")
-        disc = g2 ** 3 - 27.0 * g3 ** 2
-        scale = max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
+            disc = g2 ** 3 - 27.0 * g3 ** 2
+            scale = max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
+        except ArithmeticError as exc:  # periods too large or small for floats
+            raise DegenerateLattice(
+                f"periods out of floating-point range: {exc}"
+            ) from exc
         if abs(disc) < 1e-10 * scale:
             raise DegenerateLattice("vanishing discriminant")
         object.__setattr__(self, "reduced1", v1)

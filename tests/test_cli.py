@@ -173,6 +173,7 @@ def test_version_flag():
         ["numeric", "--lattice", "1,0,0.25"],
         ["numeric", "--lattice", "1,0,nan,1"],
         ["numeric", "--lattice", "1e300,0,0,1e300"],
+        ["numeric", "--lattice", "1e-30,0,0,1e-30"],
         ["numeric", "--lattice", "1e-300,0,0,1e-300"],
         ["rank", "--genus", "1", "--samples", "-3"],
         ["numeric", "--samples", "0"],

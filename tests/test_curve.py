@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hypfield.curve import (
     LambdaVector,
@@ -82,7 +83,6 @@ def test_symbolic_matches_numeric_evaluation():
 def test_symbolic_discriminant_matches_sympy(g):
     # independent oracle: sympy's discriminant of the same monic polynomial,
     # compared term by term as exponent vector -> coefficient
-    sympy = pytest.importorskip("sympy")
     indices = GenusContext(g).lambda_indices
     lams = sympy.symbols([f"la{s}" for s in indices])
     x = sympy.Symbol("x")

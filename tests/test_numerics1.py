@@ -101,10 +101,11 @@ def test_context_rejects_degenerate_invariants():
         LatticeContext(1.0, 2.0)
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e-300])
+@pytest.mark.parametrize("scale", [1e300, 1e-30, 1e-300])
 def test_context_rejects_periods_out_of_float_range(scale):
-    # the reduction overflows at 1e300 and divides by an underflowed zero
-    # at 1e-300; both are unusable lattices, not arithmetic crashes
+    # the reduction overflows at 1e300, the discriminant g2**3 overflows at
+    # 1e-30 and the reduction divides by an underflowed zero at 1e-300; all
+    # are unusable lattices, not arithmetic crashes
     with pytest.raises(DegenerateLattice):
         LatticeContext(scale, scale * 1j)
 
