@@ -69,6 +69,23 @@ _genus_arg = _positive_int("genus")
 _samples_arg = _positive_int("samples")
 
 
+def _tolerance(upper: float):
+    """An argparse type accepting finite floats in the open interval (0, upper)."""
+
+    def parse(value: str) -> float:
+        try:
+            x = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"tol must be a number, got {value!r}")
+        if not 0 < x < upper:
+            raise argparse.ArgumentTypeError(
+                f"tol must be a finite number in (0, {upper:g}), got {value!r}"
+            )
+        return x
+
+    return parse
+
+
 def _parse_lambda_list(text: str) -> list:
     try:
         return [parse_rational(part) for part in text.split(",")]
@@ -144,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("--genus", type=_genus_arg, default=1)
     p_num.add_argument("--samples", type=_samples_arg, default=20)
     p_num.add_argument("--seed", type=int, default=0)
-    p_num.add_argument("--tol", type=float, default=1e-8)
+    p_num.add_argument("--tol", type=_tolerance(math.inf), default=1e-8)
     p_num.add_argument(
         "--lattice", type=_lattice_arg, default=None,
         help="fixed lattice as re1,im1,re2,im2 (default: random per sample)",
@@ -157,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ind.add_argument("--samples", type=_samples_arg, default=40)
     p_ind.add_argument("--weight-bound", type=int, default=8)
     p_ind.add_argument("--seed", type=int, default=7)
-    p_ind.add_argument("--tol", type=float, default=1e-6)
+    p_ind.add_argument("--tol", type=_tolerance(1.0), default=1e-6)
     return parser
 
 
@@ -207,6 +224,9 @@ def _reduce_one(ctx, table, text: str) -> int:
     except DivisionByZeroPoly as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except RecursionError:  # the parser and the reducer recurse once per nesting level
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     print(format_fraction(num, den))
     return EXIT_OK
 

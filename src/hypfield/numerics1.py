@@ -11,7 +11,7 @@ Gauss-reduced basis (the functions are periodic, so this is exact).  The
 classical lattice sums are then evaluated with the Taylor part of each
 summand subtracted through a fixed order and added back via the even
 Eisenstein sums, which turns the slowly decaying truncation tail into one
-of order (|z|/R)^(M+1): far below 1e-12 at the default 40 shells.  The
+of order (|z|/R)^(M+1): far below 1e-12 at 40 shells.  The
 invariants g2 and g3 themselves come from the rapidly convergent
 one-dimensional Fourier series for the normalized Eisenstein sums; a
 truncated two-dimensional lattice sum decays only like 1/shells^2 and could
@@ -42,6 +42,9 @@ class InsufficientSamples(ValueError):
 
 
 _TAYLOR_ORDER = 10  # subtraction order M; tail is O((|z|/R)^(M+1))
+_SHELLS = 40  # summation radius R, in shortest periods
+_EISENSTEIN_CUTOFF = 40  # Fourier terms in the invariants g2, g3
+_POLE_FLOOR = 0.05  # closest approach to a lattice point, in shortest periods
 
 
 def gauss_reduce(omega1: complex, omega2: complex):
@@ -65,7 +68,7 @@ def gauss_reduce(omega1: complex, omega2: complex):
     return v1, v2
 
 
-def eisenstein(omega1: complex, omega2: complex, cutoff: int = 40):
+def eisenstein(omega1: complex, omega2: complex, cutoff: int = _EISENSTEIN_CUTOFF):
     """Invariants (g2, g3) of the lattice spanned by the two periods.
 
     ``cutoff`` counts series terms; 20 is already far below 1e-12 tails for
@@ -108,9 +111,6 @@ class LatticeContext:
 
     omega1: complex
     omega2: complex
-    shells: int = 40
-    eisenstein_cutoff: int = 40
-    pole_floor: float = 0.05
 
     # derived, filled in __post_init__
     reduced1: complex = field(init=False)
@@ -123,7 +123,7 @@ class LatticeContext:
     def __post_init__(self):
         try:
             v1, v2 = gauss_reduce(self.omega1, self.omega2)
-            g2, g3 = eisenstein(v1, v2, self.eisenstein_cutoff)
+            g2, g3 = eisenstein(v1, v2)
             disc = g2 ** 3 - 27.0 * g3 ** 2
             scale = max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
         except ArithmeticError as exc:  # periods too large or small for floats
@@ -147,7 +147,7 @@ class LatticeContext:
         cache = self.__dict__["_cache"]
         if "points" not in cache:
             v1, v2 = self.reduced1, self.reduced2
-            radius = self.shells * abs(v1)
+            radius = _SHELLS * abs(v1)
             area = abs((v1.conjugate() * v2).imag)
             bm = int(radius * abs(v2) / area) + 2
             bn = int(radius * abs(v1) / area) + 2
@@ -185,8 +185,8 @@ class LatticeContext:
 def _wp_all(ctx: LatticeContext, z: complex):
     """(wp, wp', wp'') by the subtracted classical sums."""
     z0 = ctx.reduce(complex(z))
-    if abs(z0) < ctx.pole_floor * abs(ctx.reduced1):
-        raise NearPole(f"z within {ctx.pole_floor} periods of a lattice point")
+    if abs(z0) < _POLE_FLOOR * abs(ctx.reduced1):
+        raise NearPole(f"z within {_POLE_FLOOR} periods of a lattice point")
     w = ctx._points()
     sums = ctx._sums()
     d = z0 - w

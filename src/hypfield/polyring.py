@@ -10,17 +10,21 @@ and every identity handled by the engine is homogeneous with respect to it:
 
 Terms are kept in a canonical graded-lex order over the fixed symbol order
 b1_1 < b1_3 < ... < b2_1 < ... < b3_1 < ... < w_3_3 < ... < la_4 < ...,
-so serialized polynomials are byte-stable across runs.
+so serialized polynomials are byte-stable across runs.  That order is
+``Symbol``'s own tuple order: a symbol is the tuple ``(rank, indices)``.
+
+The monomial layout is private to this module: no other module builds or
+takes apart the keys of ``Poly.terms``.  Callers go through ``Poly.symbol``,
+``Poly.coeff``, ``Poly.symbols`` and ``strip_common_monomial``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import format_rational
 
-_KIND_RANK = {"b1": 0, "b2": 1, "b3": 2, "w": 3, "la": 4}
+_KINDS = ("b1", "b2", "b3", "w", "la")  # in symbol order
 _KIND_BASE_WEIGHT = {"b1": 1, "b2": 2, "b3": 3}
 
 
@@ -28,19 +32,21 @@ class OffsetUnderflow(ArithmeticError):
     """A xi-series product produced a nonzero coefficient below xi^-1."""
 
 
-@dataclass(frozen=True)
-class Symbol:
-    kind: str
-    indices: tuple
+class Symbol(tuple):
+    """A ring variable, the tuple ``(rank, indices)`` with ``rank`` the
+    position of its kind in b1 < b2 < b3 < w < la.  Tuple order, equality and
+    hash are therefore the canonical symbol order."""
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        idx = self.indices
-        if self.kind in ("b1", "b2", "b3"):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, indices: tuple):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        idx = indices
+        if kind in ("b1", "b2", "b3"):
             if len(idx) != 1 or idx[0] < 1 or idx[0] % 2 == 0:
-                raise ValueError(f"{self.kind} needs a single odd index, got {idx}")
-        elif self.kind == "w":
+                raise ValueError(f"{kind} needs a single odd index, got {idx}")
+        elif kind == "w":
             if (
                 len(idx) != 2
                 or idx[0] > idx[1]
@@ -51,6 +57,15 @@ class Symbol:
         else:  # la
             if len(idx) != 1 or idx[0] < 4 or idx[0] % 2 != 0:
                 raise ValueError(f"la needs a single even index >= 4, got {idx}")
+        return super().__new__(cls, (_KINDS.index(kind), idx))
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[self[0]]
+
+    @property
+    def indices(self) -> tuple:
+        return self[1]
 
     @property
     def weight(self) -> int:
@@ -59,18 +74,11 @@ class Symbol:
         return sum(self.indices)
 
     @property
-    def key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.indices)
-
-    @property
     def name(self) -> str:
         return self.kind + "_" + "_".join(str(i) for i in self.indices)
 
-    def __str__(self):
+    def __repr__(self):  # str() too, as tuple has no __str__ of its own
         return self.name
-
-    def __lt__(self, other: "Symbol"):
-        return self.key < other.key
 
 
 def b1(k: int) -> Symbol:
@@ -106,7 +114,7 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     exps = dict(m1)
     for sym, e in m2:
         exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: it[0].key))
+    return tuple(sorted(exps.items()))
 
 
 def mono_weight(m: tuple) -> int:
@@ -116,7 +124,7 @@ def mono_weight(m: tuple) -> int:
 def mono_sort_key(m: tuple) -> tuple:
     # graded-lex, descending: heavier first, then lexicographically larger
     # exponent vectors first (smaller tuple compares first, hence the -e)
-    return (-mono_weight(m), tuple((sym.key, -e) for sym, e in m))
+    return (-mono_weight(m), tuple((sym, -e) for sym, e in m))
 
 
 def mono_str(m: tuple) -> str:
@@ -266,8 +274,9 @@ class Poly:
                 out.add(sym)
         return out
 
-    def coeff(self, mono: tuple) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coeff(self, sym: Symbol) -> Fraction:
+        """Coefficient of the term that is ``sym`` alone, to the first power."""
+        return self.terms.get(((sym, 1),), Fraction(0))
 
     # structural operations ------------------------------------------------
 
@@ -330,7 +339,7 @@ class Poly:
                 del exps[sym]
             else:
                 exps[sym] = e - 1
-            m = tuple(sorted(exps.items(), key=lambda it: it[0].key))
+            m = tuple(sorted(exps.items()))
             out[m] = out.get(m, Fraction(0)) + c * e
         return Poly(out)
 
@@ -356,6 +365,28 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def strip_common_monomial(num: Poly, den: Poly):
+    """Divide both polynomials by the largest monomial dividing every term
+    of either; the pair comes back unchanged when that monomial is 1."""
+    monos = iter([*num.terms, *den.terms])
+    common = dict(next(monos, ()))
+    for mono in monos:
+        if not common:
+            break
+        exps = dict(mono)
+        common = {sym: min(e, exps[sym]) for sym, e in common.items() if sym in exps}
+    if not common:
+        return num, den
+
+    def divide(p: Poly) -> Poly:
+        return Poly({
+            tuple((sym, e - common.get(sym, 0)) for sym, e in mono if e != common.get(sym, 0)): c
+            for mono, c in p.terms.items()
+        })
+
+    return divide(num), divide(den)
 
 
 MIXED = None  # sentinel returned by homogeneous_weight for mixed-weight input

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .exactmath import format_rational
-from .polyring import Poly, Symbol, homogeneous_weight, la, w, b1, b2, b3
-from .relations import GenusContext, RelationId, bel1, bel2, l1_rhs, pp_symbol
+from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
+from .relations import GenusContext, RelationId, bel1, bel2, l1_residual, pp_symbol
 
 
 class InternalInconsistency(RuntimeError):
@@ -88,9 +88,7 @@ class RelationTable:
 
     def substitution_env(self) -> dict:
         """Symbol -> pure-generator polynomial, for la and w symbols."""
-        env = {la(s): p for s, p in self.lam.items()}
-        env.update({w(k, l): p for (k, l), p in self.w.items()})
-        return env
+        return _substitution_env(self.lam, self.w)
 
     def text(self) -> str:
         lines = [f"genus {self.genus}", "lambda"]
@@ -113,45 +111,57 @@ class RelationTable:
         return json.dumps(self.tree(), indent=2) + "\n"
 
 
-def _require_pure_generators(p: Poly, what: str):
-    bad = [s for s in p.symbols() if s.kind not in ("b1", "b2", "b3")]
+def _substitution_env(lam: Mapping[int, Poly], w_entries: Mapping[tuple, Poly]) -> dict:
+    env = {la(s): p for s, p in lam.items()}
+    env.update({w(k, l): p for (k, l), p in w_entries.items()})
+    return env
+
+
+def _solve(residual: Poly, target: Symbol, env: dict, label: str) -> Poly:
+    """Solve ``residual = 0`` for ``target``, which must occur alone in one
+    term, to the first power; ``env`` resolves every other non-generator."""
+    lin = residual.coeff(target)
+    if not lin:
+        raise UnresolvedSymbol(f"{target.name} does not occur linearly in {label}")
+    rest = residual - lin * Poly.symbol(target)
+    if target in rest.symbols():
+        raise UnresolvedSymbol(f"{target.name} occurs nonlinearly in {label}")
+    solved = (-1 / lin) * rest.substitute(env)
+    bad = [s for s in solved.symbols() if s.kind not in ("b1", "b2", "b3")]
     if bad:
-        raise UnresolvedSymbol(f"{what} still contains {sorted(s.name for s in bad)}")
+        raise UnresolvedSymbol(f"{target.name} still contains {sorted(s.name for s in bad)}")
+    return solved
 
 
-def derive_lambda(ctx: GenusContext) -> dict:
-    """Curve parameters from the xi-coefficients of the generating series."""
-    rhs = l1_rhs(ctx)
-    if rhs[-1] != Poly.const(4):
+def derive_lambda(ctx: GenusContext) -> tuple[dict, dict]:
+    """Curve parameters ``{s: polynomial}`` and their provenance labels,
+    from the xi-coefficients of the generating series."""
+    residual = l1_residual(ctx)
+    if not residual[-1].is_zero():
         raise InternalInconsistency("xi^-1 coefficient of the series is not 4")
-    if not rhs[0].is_zero():
+    if not residual[0].is_zero():
         raise InternalInconsistency("xi^0 coefficient of the series is not 0")
-    out = {}
+    out, provenance = {}, {}
     for i in range(1, 2 * ctx.g + 1):
         s = 2 * i + 2
-        entry = Fraction(1, 4) * rhs[i]
-        _require_pure_generators(entry, f"la_{s}")
-        out[s] = entry
-    return out
+        label = f"L1[xi^{i}]"
+        out[s] = _solve(residual[i], la(s), {}, label)
+        provenance[f"la_{s}"] = label
+    return out, provenance
 
 
-def derive_w3(ctx: GenusContext, lambda_table: dict) -> dict:
-    """Entries (3, l) by rearranging the first relation family at i = l."""
-    out = {}
-    la_env = {la(s): p for s, p in lambda_table.items()}
+def derive_w3(ctx: GenusContext, lambda_table: dict) -> tuple[dict, dict]:
+    """Entries (3, l) and their provenance labels, each solved from the first
+    relation family at i = l."""
+    out, provenance = {}, {}
+    env = _substitution_env(lambda_table, {})
     for l in ctx.odd_indices:
         if l < 3:
             continue
-        entry = (
-            3 * Poly.symbol(b1(1)) * pp_symbol(ctx, 1, l)
-            + 3 * pp_symbol(ctx, 1, l + 2)
-            - Fraction(1, 2) * Poly.symbol(b3(l))
-        )
-        # the la_4 delta term would need l == 1, which never happens here
-        entry = entry.substitute(la_env)
-        _require_pure_generators(entry, f"w_3_{l}")
-        out[(3, l)] = entry
-    return out
+        label = str(RelationId("BEL1", (l,)))
+        out[(3, l)] = _solve(bel1(ctx, l), w(3, l), env, label)
+        provenance[f"w_3_{l}"] = label
+    return out, provenance
 
 
 def extract_from_bel2(
@@ -163,29 +173,18 @@ def extract_from_bel2(
     instance to a pure-generator polynomial.  Raises UnresolvedSymbol when
     it does not, which signals an invalid extraction path.
     """
-    k, l = min(target), max(target)
-    target_sym = w(k, l)
-    residual = bel2(ctx, i, j)
-    lin = residual.coeff(((target_sym, 1),))
-    if not lin:
-        raise UnresolvedSymbol(f"{target_sym.name} does not occur linearly in BEL2[{i},{j}]")
-    rest = residual - lin * Poly.symbol(target_sym)
-    if target_sym in rest.symbols():
-        raise UnresolvedSymbol(f"{target_sym.name} occurs nonlinearly in BEL2[{i},{j}]")
-    solved = (-1 / lin) * rest.substitute(env)
-    _require_pure_generators(solved, target_sym.name)
-    return solved
+    return _solve(bel2(ctx, i, j), w(*target), env, str(RelationId("BEL2", (i, j))))
 
 
-def derive_w_high(ctx: GenusContext, lambda_table: dict, w3_table: dict) -> dict:
-    """Entries (k, l) with k >= 5, first index ascending.
+def derive_w_high(ctx: GenusContext, lambda_table: dict, w3_table: dict) -> tuple[dict, dict]:
+    """Entries (k, l) with k >= 5 and their provenance labels, first index
+    ascending.
 
     The (k-4, l) instance of the quadratic family is linear in the target;
     everything else it mentions has a smaller first index or is cut to zero.
     """
-    out = {}
-    env = {la(s): p for s, p in lambda_table.items()}
-    env.update({w(k, l): p for (k, l), p in w3_table.items()})
+    out, provenance = {}, {}
+    env = _substitution_env(lambda_table, w3_table)
     for k in ctx.odd_indices:
         if k < 5:
             continue
@@ -195,16 +194,17 @@ def derive_w_high(ctx: GenusContext, lambda_table: dict, w3_table: dict) -> dict
             entry = extract_from_bel2(ctx, env, k - 4, l, (k, l))
             out[(k, l)] = entry
             env[w(k, l)] = entry
-    return out
+            provenance[f"w_{k}_{l}"] = str(RelationId("BEL2", (k - 4, l)))
+    return out, provenance
 
 
 def build_table(ctx: GenusContext) -> RelationTable:
     """Full pipeline plus validation of coverage, purity and homogeneity."""
-    lam_table = derive_lambda(ctx)
-    w3_table = derive_w3(ctx, lam_table)
-    wh_table = derive_w_high(ctx, lam_table, w3_table)
-    w_table = dict(w3_table)
-    w_table.update(wh_table)
+    lam_table, lam_labels = derive_lambda(ctx)
+    w3_table, w3_labels = derive_w3(ctx, lam_table)
+    wh_table, wh_labels = derive_w_high(ctx, lam_table, w3_table)
+    w_table = {**w3_table, **wh_table}
+    provenance = {**lam_labels, **w3_labels, **wh_labels}
 
     if set(lam_table) != set(ctx.lambda_indices):
         raise InternalInconsistency("lambda coverage mismatch")
@@ -216,13 +216,6 @@ def build_table(ctx: GenusContext) -> RelationTable:
     for (k, l), p in w_table.items():
         if homogeneous_weight(p) != k + l:
             raise InternalInconsistency(f"w_{k}_{l} has wrong weight")
-
-    provenance = {f"la_{2 * i + 2}": f"L1[xi^{i}]" for i in range(1, 2 * ctx.g + 1)}
-    for k, l in w_table:
-        if k == 3:
-            provenance[f"w_{k}_{l}"] = str(RelationId("BEL1", (l,)))
-        else:
-            provenance[f"w_{k}_{l}"] = str(RelationId("BEL2", (k - 4, l)))
     return RelationTable(ctx.g, lam_table, w_table, provenance)
 
 
@@ -248,45 +241,13 @@ def _resolve_psym(ctx: GenusContext, table: RelationTable, indices: tuple) -> Po
     )
 
 
-def _strip_common_monomial(num: Poly, den: Poly):
-    monos = list(num.terms) + list(den.terms)
-    if not monos:
-        return num, den
-    common = dict(monos[0])
-    for mono in monos[1:]:
-        exps = dict(mono)
-        for sym in list(common):
-            e = min(common[sym], exps.get(sym, 0))
-            if e:
-                common[sym] = e
-            else:
-                del common[sym]
-        if not common:
-            break
-    if not common:
-        return num, den
-
-    def divide(p: Poly) -> Poly:
-        out = {}
-        for mono, c in p.terms.items():
-            exps = dict(mono)
-            for sym, e in common.items():
-                exps[sym] -= e
-                if not exps[sym]:
-                    del exps[sym]
-            out[tuple(sorted(exps.items(), key=lambda it: it[0].key))] = c
-        return Poly(out)
-
-    return divide(num), divide(den)
-
-
 def normalize_fraction(num: Poly, den: Poly):
     """Canonical form: no common monomial factor, monic denominator."""
     if den.is_zero():
         raise DivisionByZeroPoly("denominator reduced to the zero polynomial")
     if num.is_zero():
         return Poly.zero(), Poly.one()
-    num, den = _strip_common_monomial(num, den)
+    num, den = strip_common_monomial(num, den)
     lead = den.leading_coeff()
     if lead != 1:
         inv = 1 / lead

@@ -103,14 +103,19 @@ def uniformize_check(ctx: GenusContext, table: RelationTable) -> UniformizeRepor
 @dataclass(frozen=True)
 class PMap:
     """The polynomial projection onto the parameter space, one component
-    per curve parameter, each homogeneous in the 3g generators."""
+    per curve parameter, each homogeneous in the 3g generators, with its
+    symbolic 2g x 3g Jacobian (rows by component, columns by generator)."""
 
     genus: int
     components: tuple  # of (s, Poly), s ascending
+    jacobian: tuple  # of rows of Poly
 
 
 def p_map(table: RelationTable) -> PMap:
-    return PMap(table.genus, tuple((s, table.lam[s]) for s in sorted(table.lam)))
+    components = tuple((s, table.lam[s]) for s in sorted(table.lam))
+    syms = generator_symbols(table.genus)
+    jacobian = tuple(tuple(comp.diff(sym) for sym in syms) for _, comp in components)
+    return PMap(table.genus, components, jacobian)
 
 
 def _point_env(pm: PMap, point: Sequence) -> dict:
@@ -126,16 +131,15 @@ def p_eval(pm: PMap, point: Sequence) -> list:
     return [comp.evaluate(env) for _, comp in pm.components]
 
 
-def p_jacobian(pm: PMap) -> list:
-    """Symbolic 2g x 3g matrix of partial derivatives."""
-    syms = generator_symbols(pm.genus)
-    return [[comp.diff(sym) for sym in syms] for _, comp in pm.components]
+def p_jacobian(pm: PMap) -> tuple:
+    """Symbolic 2g x 3g matrix of partial derivatives, derived by ``p_map``."""
+    return pm.jacobian
 
 
 def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
     """Exact rank of the Jacobian of the parameter map at a rational point."""
     env = _point_env(pm, point)
-    return rank_exact([[e.evaluate(env) for e in row] for row in p_jacobian(pm)])
+    return rank_exact([[e.evaluate(env) for e in row] for row in pm.jacobian])
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hypfield.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from hypfield.polyring import Poly
 
 
 def run(capsys, *argv):
@@ -86,10 +87,40 @@ def test_reduce_division_by_zero(capsys):
     assert "zero" in err
 
 
+DEEP = {
+    "parentheses": "(" * 300 + "1" + ")" * 300,
+    "flat sum": "+".join(["1"] * 3000),
+    "unary minus": "-" * 3000 + "1",
+}
+
+
+@pytest.mark.parametrize("text", list(DEEP.values()), ids=list(DEEP))
+def test_reduce_deep_nesting_is_a_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\nla4\n"))
+    code, out, err = run(capsys, "reduce", "--genus", "1")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert out.splitlines() == ["-3*b1_1^2 + 1/2*b3_1"]
+
+
 def test_rank_sampling(capsys):
     code, out, _ = run(capsys, "rank", "--genus", "1", "--samples", "5", "--seed", "0")
     assert code == EXIT_OK
     assert "rank 2 at 5/5 points; rank 1 at origin" in out
+
+
+def test_rank_derives_the_jacobian_once(capsys, monkeypatch):
+    calls = []
+    real = Poly.diff
+
+    def counting(self, sym):
+        calls.append(sym)
+        return real(self, sym)
+
+    monkeypatch.setattr(Poly, "diff", counting)
+    code, _, _ = run(capsys, "rank", "--genus", "2", "--samples", "5")
+    assert code == EXIT_OK
+    assert len(calls) == 4 * 6  # one per 2g x 3g Jacobian entry, not per point
 
 
 def test_rank_explicit_point(capsys):
@@ -178,6 +209,13 @@ def test_version_flag():
         ["rank", "--genus", "1", "--samples", "-3"],
         ["numeric", "--samples", "0"],
         ["independence", "--samples", "0"],
+        ["numeric", "--tol", "nan"],
+        ["numeric", "--tol", "inf"],
+        ["numeric", "--tol", "-1"],
+        ["numeric", "--tol", "0"],
+        ["independence", "--tol", "5"],
+        ["independence", "--tol", "1"],
+        ["independence", "--tol", "nan"],
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

@@ -87,7 +87,9 @@ def test_text_serialization_deterministic():
 
 
 def test_derive_lambda_matches_table():
-    assert derive_lambda(GenusContext(2)) == table(2).lam
+    lam, labels = derive_lambda(GenusContext(2))
+    assert lam == table(2).lam
+    assert labels == {k: v for k, v in table(2).provenance.items() if k.startswith("la_")}
 
 
 # --- alternative extraction path -------------------------------------------
