@@ -77,6 +77,9 @@ class Symbol(tuple):
     def name(self) -> str:
         return self.kind + "_" + "_".join(str(i) for i in self.indices)
 
+    def __getnewargs__(self):  # for pickle and copy, which call __new__
+        return self.kind, self.indices
+
     def __repr__(self):  # str() too, as tuple has no __str__ of its own
         return self.name
 

@@ -4,6 +4,8 @@ Ring laws are property-tested; the series product is checked against a
 naive dict-based convolution oracle written independently here.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -85,6 +87,20 @@ def test_symbol_weight_and_name(sym, weight, name):
 
 def test_w_constructor_sorts_indices():
     assert w(5, 3) == w(3, 5)
+
+
+def test_symbol_order_is_kind_then_index():
+    assert sorted([la(4), w(3, 5), b3(1), w(3, 3), b2(3), b1(3), b2(1), b1(1)]) == [
+        b1(1), b1(3), b2(1), b2(3), b3(1), w(3, 3), w(3, 5), la(4)
+    ]
+    assert str(w(3, 5)) == repr(w(3, 5)) == "w_3_5"
+
+
+def test_polynomials_survive_pickle_and_deepcopy():
+    p = Poly.symbol(w(3, 5)) * Poly.symbol(b1(1)) - Fraction(1, 2) * Poly.symbol(la(4))
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert q == p and str(q) == str(p)
+        assert all(type(s) is Symbol for s in q.symbols())
 
 
 # --- ring laws --------------------------------------------------------------
