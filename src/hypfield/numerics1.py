@@ -9,9 +9,13 @@ Evaluation strategy
 Arguments are first reduced to the Voronoi cell around the origin of a
 Gauss-reduced basis (the functions are periodic, so this is exact).  The
 classical lattice sums are then evaluated with the Taylor part of each
-summand subtracted through a fixed order and added back via the even
+summand subtracted through a fixed order M and added back via the even
 Eisenstein sums, which turns the slowly decaying truncation tail into one
-of order (|z|/R)^(M+1): far below 1e-12 at 40 shells.  The
+of order (|z|/R)^(M+1): far below 1e-12 at 40 shells.  Both parts are
+polynomials built once: the Taylor part T(u) = sum_{k<=M} (k+1) u^k of
+1/(1-u)^2, with u = z/w, and the add-back A(z) = sum over even k of
+(k+1) S_{k+2} z^k.  wp subtracts T(u)/w^2 and adds A(z); wp' and wp'' take
+T', T'' and A', A'' from np.polyder of the same two coefficient arrays.  The
 invariants g2 and g3 themselves come from the rapidly convergent
 one-dimensional Fourier series for the normalized Eisenstein sums; a
 truncated two-dimensional lattice sum decays only like 1/shells^2 and could
@@ -21,6 +25,7 @@ never reach the accuracy targets this module promises.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -92,17 +97,24 @@ def eisenstein(omega1: complex, omega2: complex, cutoff: int = _EISENSTEIN_CUTOF
     return g2, g3
 
 
-def _eisenstein_sums(g2: complex, g3: complex, top: int):
-    """S_{2n} = sum over the lattice of w^(-2n), for 2n = 4..top, via the
-    classical recursion on the Laurent coefficients c_n = (2n-1) S_{2n}."""
+# T(u) = sum_{k<=M} (k+1) u^k, highest degree first as np.polyval wants it
+_TAYLOR = np.arange(_TAYLOR_ORDER + 1, 0, -1, dtype=float)
+
+
+def _addback(g2: complex, g3: complex) -> np.ndarray:
+    """Coefficients, highest degree first, of A(z) = sum over even k <= M of
+    (k+1) S_{k+2} z^k, S_{2n} the lattice sum of w^(-2n).
+
+    (2n-1) S_{2n} is the Laurent coefficient c_n of wp, so A is wp - 1/z^2
+    through order M, with c_n from the classical recursion.
+    """
     c = {2: g2 / 20.0, 3: g3 / 28.0}
-    n_top = top // 2
-    for n in range(4, n_top + 1):
-        acc = 0.0 + 0j
-        for m in range(2, n - 1):
-            acc += c[m] * c[n - m]
-        c[n] = 3.0 * acc / ((2 * n + 1) * (n - 3))
-    return {2 * n: c[n] / (2 * n - 1) for n in range(2, n_top + 1)}
+    for n in range(4, _TAYLOR_ORDER // 2 + 2):
+        c[n] = 3.0 * sum(c[m] * c[n - m] for m in range(2, n - 1)) / ((2 * n + 1) * (n - 3))
+    return np.array(
+        [0 if k % 2 else c.get(k // 2 + 1, 0) for k in range(_TAYLOR_ORDER, -1, -1)],
+        dtype=complex,
+    )
 
 
 @dataclass(frozen=True)
@@ -157,12 +169,8 @@ class LatticeContext:
             pts = m * v1 + n * v2
             mask = (np.abs(pts) <= radius) & ((m != 0) | (n != 0))
             cache["points"] = pts[mask]
-            cache["sums"] = _eisenstein_sums(self.g2, self.g3, _TAYLOR_ORDER + 2)
+            cache["addback"] = _addback(self.g2, self.g3)
         return cache["points"]
-
-    def _sums(self) -> dict:
-        self._points()
-        return self.__dict__["_cache"]["sums"]
 
     def reduce(self, z: complex) -> complex:
         """Translate z by a lattice vector into the cell around the origin."""
@@ -188,43 +196,21 @@ def _wp_all(ctx: LatticeContext, z: complex):
     if abs(z0) < _POLE_FLOOR * abs(ctx.reduced1):
         raise NearPole(f"z within {_POLE_FLOOR} periods of a lattice point")
     w = ctx._points()
-    sums = ctx._sums()
-    d = z0 - w
+    taylor, addback = _TAYLOR, ctx.__dict__["_cache"]["addback"]
+    inv_d = 1.0 / (z0 - w)
     inv_w = 1.0 / w
     u = z0 * inv_w
-
-    # direct terms
-    p0 = 1.0 / d ** 2
-    p1 = -2.0 / d ** 3
-    p2 = 6.0 / d ** 4
-
-    # subtract the Taylor part of each summand through order M
-    t0 = np.zeros_like(w)
-    t1 = np.zeros_like(w)
-    t2 = np.zeros_like(w)
-    uk = np.ones_like(w)  # u^k
-    for k in range(0, _TAYLOR_ORDER + 1):
-        c = k + 1
-        # z0^k w^(-k-2) = u^k w^(-2), and analogously for the derivatives
-        t0 += c * uk * inv_w ** 2
-        if k >= 1:
-            t1 += c * k * (uk / u) * inv_w ** 3
-        if k >= 2:
-            t2 += c * k * (k - 1) * (uk / u ** 2) * inv_w ** 4
-        uk = uk * u
-
-    wp_val = 1.0 / z0 ** 2 + np.sum(p0 - t0)
-    wp1_val = -2.0 / z0 ** 3 + np.sum(p1 - t1)
-    wp2_val = 6.0 / z0 ** 4 + np.sum(p2 - t2)
-
-    # add back the even Eisenstein sums for the subtracted Taylor part
-    for k in range(2, _TAYLOR_ORDER + 1, 2):
-        s = sums[k + 2]
-        c = k + 1
-        wp_val += c * s * z0 ** k
-        wp1_val += c * k * s * z0 ** (k - 1)
-        wp2_val += c * k * (k - 1) * s * z0 ** (k - 2)
-    return complex(wp_val), complex(wp1_val), complex(wp2_val)
+    # n-th z-derivative of 1/(z-w)^2 is pole/(z-w)^(n+2), of T(z/w)/w^2 it
+    # is T^(n)(u)/w^(n+2)
+    pole, d_pow, w_pow = 1.0, inv_d * inv_d, inv_w * inv_w
+    values = []
+    for n in range(3):
+        total = pole / z0 ** (n + 2) + np.sum(pole * d_pow - np.polyval(taylor, u) * w_pow)
+        values.append(complex(total + np.polyval(addback, z0)))
+        pole *= -(n + 2)
+        d_pow, w_pow = d_pow * inv_d, w_pow * inv_w
+        taylor, addback = np.polyder(taylor), np.polyder(addback)
+    return tuple(values)
 
 
 def wp(ctx: LatticeContext, z: complex) -> complex:
@@ -326,21 +312,14 @@ def random_sample_point(
 def _monomials(weights: tuple, bound: int) -> list:
     """Exponent tuples with weighted degree <= bound, constant included,
     sorted by weight then exponents."""
-    def rec(prefix, remaining_weights, budget):
-        if not remaining_weights:
-            out.append(tuple(prefix))
-            return
-        wt = remaining_weights[0]
-        for e in range(0, budget // wt + 1):
-            rec(prefix + [e], remaining_weights[1:], budget - wt * e)
+    def weight(exps):
+        return sum(w * e for w, e in zip(weights, exps))
 
-    out = []
-    rec([], weights, bound)
-    uniq = sorted(
-        set(out),
-        key=lambda exps: (sum(w * e for w, e in zip(weights, exps)), exps),
+    ranges = [range(bound // w + 1) for w in weights]
+    return sorted(
+        (exps for exps in itertools.product(*ranges) if weight(exps) <= bound),
+        key=lambda exps: (weight(exps), exps),
     )
-    return uniq
 
 
 @dataclass(frozen=True)
@@ -437,14 +416,14 @@ def independence_experiment(
         names = ("wp", "wp'", "wp''")
         weights = (2, 3, 4)
     monos = _monomials(weights, weight_bound)
-    rows = []
+    samples = []
     for _ in range(lattice_count):
         ctx = random_lattice(rng)
         for _ in range(samples_per_lattice):
             z = random_sample_point(ctx, rng, margin)
-            vals = _wp_all(ctx, z)[: len(weights)]
-            rows.append([np.prod([v ** e for v, e in zip(vals, m)]) for m in monos])
-    a = np.array(rows, dtype=complex)
+            samples.append(_wp_all(ctx, z)[: len(weights)])
+    # a[i, j] = prod over generators g of samples[i][g] ** monos[j][g]
+    a = np.prod(np.array(samples)[:, None, :] ** np.array(monos), axis=2)
     if a.shape[0] < a.shape[1]:
         raise InsufficientSamples(f"{a.shape[0]} rows < {a.shape[1]} columns")
     # row normalization leaves the column nullspace untouched but removes
@@ -453,10 +432,9 @@ def independence_experiment(
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     norms = np.linalg.norm(a, axis=0)
     b = a / norms
-    svals = np.linalg.svd(b, compute_uv=False)
+    _, svals, vh = np.linalg.svd(b, full_matrices=False)
     kernel = None
     if single:
-        _, _, vh = np.linalg.svd(b)
         vec = np.conj(vh[-1]) / norms
         # normalize on the largest coefficient for a stable report
         pivot = vec[np.argmax(np.abs(vec))]

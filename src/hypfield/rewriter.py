@@ -185,16 +185,13 @@ def derive_w_high(ctx: GenusContext, lambda_table: dict, w3_table: dict) -> tupl
     """
     out, provenance = {}, {}
     env = _substitution_env(lambda_table, w3_table)
-    for k in ctx.odd_indices:
+    for k, l in ctx.w_pairs:
         if k < 5:
             continue
-        for l in ctx.odd_indices:
-            if l < k:
-                continue
-            entry = extract_from_bel2(ctx, env, k - 4, l, (k, l))
-            out[(k, l)] = entry
-            env[w(k, l)] = entry
-            provenance[f"w_{k}_{l}"] = str(RelationId("BEL2", (k - 4, l)))
+        entry = extract_from_bel2(ctx, env, k - 4, l, (k, l))
+        out[(k, l)] = entry
+        env[w(k, l)] = entry
+        provenance[f"w_{k}_{l}"] = str(RelationId("BEL2", (k - 4, l)))
     return out, provenance
 
 
@@ -222,7 +219,7 @@ def build_table(ctx: GenusContext) -> RelationTable:
 # ---------------------------------------------------------------------------
 # reduction of expressions into the fraction field of the generators
 
-def _resolve_psym(ctx: GenusContext, table: RelationTable, indices: tuple) -> Poly:
+def _resolve_psym(ctx: GenusContext, indices: tuple) -> Poly:
     idx = tuple(sorted(indices))
     n = len(idx)
     if n == 2:
@@ -269,7 +266,7 @@ def reduce_expr(ctx: GenusContext, table: RelationTable, e: Expr):
                 raise UnsupportedSymbol(f"la{node.s} outside 4..{4 * ctx.g + 2}")
             return table.lam[node.s], Poly.one()
         if isinstance(node, PSym):
-            p = _resolve_psym(ctx, table, node.indices).substitute(env)
+            p = _resolve_psym(ctx, node.indices).substitute(env)
             return p, Poly.one()
         if isinstance(node, Neg):
             n, d = go(node.arg)
@@ -284,17 +281,26 @@ def reduce_expr(ctx: GenusContext, table: RelationTable, e: Expr):
                     raise DivisionByZeroPoly("negative power of zero")
             return n ** k, d ** k
         if isinstance(node, BinOp):
-            n1, d1 = go(node.left)
-            n2, d2 = go(node.right)
-            if node.op == "+":
-                return n1 * d2 + n2 * d1, d1 * d2
-            if node.op == "-":
-                return n1 * d2 - n2 * d1, d1 * d2
-            if node.op == "*":
-                return n1 * n2, d1 * d2
-            if node.op == "/":
-                return n1 * d2, d1 * n2
-            raise ValueError(f"unknown operator {node.op!r}")
+            # the parser builds a + b + c as a left-deep chain: walk its left
+            # spine in a loop, so a flat sum or product of any length works
+            spine = []
+            while isinstance(node, BinOp):
+                spine.append(node)
+                node = node.left
+            n1, d1 = go(node)
+            for link in reversed(spine):
+                n2, d2 = go(link.right)
+                if link.op == "+":
+                    n1, d1 = n1 * d2 + n2 * d1, d1 * d2
+                elif link.op == "-":
+                    n1, d1 = n1 * d2 - n2 * d1, d1 * d2
+                elif link.op == "*":
+                    n1, d1 = n1 * n2, d1 * d2
+                elif link.op == "/":
+                    n1, d1 = n1 * d2, d1 * n2
+                else:
+                    raise ValueError(f"unknown operator {link.op!r}")
+            return n1, d1
         raise TypeError(f"not an expression node: {node!r}")
 
     num, den = go(e)

@@ -89,7 +89,6 @@ def test_reduce_division_by_zero(capsys):
 
 DEEP = {
     "parentheses": "(" * 300 + "1" + ")" * 300,
-    "flat sum": "+".join(["1"] * 3000),
     "unary minus": "-" * 3000 + "1",
 }
 
@@ -101,6 +100,24 @@ def test_reduce_deep_nesting_is_a_usage_error(capsys, monkeypatch, text):
     assert code == EXIT_USAGE
     assert err.startswith("error:")
     assert out.splitlines() == ["-3*b1_1^2 + 1/2*b3_1"]
+
+
+FLAT = {
+    "flat sum": ("+".join(["1"] * 3000), "3000"),
+    "flat sum of symbols": ("+".join(["p[1,1]"] * 3000), "3000*b1_1"),
+    "flat product then quotient": (
+        "*".join(["p[1,1]"] * 1500) + "/" + "/".join(["p[1,1]"] * 1499),
+        "b1_1",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, want", list(FLAT.values()), ids=list(FLAT))
+def test_reduce_flat_chain_of_any_length(capsys, monkeypatch, text, want):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\nla4\n"))
+    code, out, err = run(capsys, "reduce", "--genus", "1")
+    assert code == EXIT_OK, err
+    assert out.splitlines() == [want, "-3*b1_1^2 + 1/2*b3_1"]
 
 
 def test_rank_sampling(capsys):

@@ -3,14 +3,16 @@ identity residuals, and the monomial rank experiment.
 
 Oracles: basis-change invariance and scaling laws for the invariants,
 symmetry zeros on the square and hexagonal lattices, parity/periodicity of
-the functions themselves, and the classical cubic as the expected kernel of
-the single-lattice experiment.
+the functions themselves, the classical cubic as the expected kernel of
+the single-lattice experiment, and an mpmath theta-function evaluation of
+wp, wp', wp'', g2 and g3 that shares nothing with the lattice sums.
 """
 
 import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -140,6 +142,41 @@ def test_wp_laurent_leading_behavior():
     z = 0.08 + 0.06j
     val = z ** 2 * wp(CTX, z)
     assert abs(val - 1.0) < 0.05
+
+
+def theta_oracle(omega1, omega2):
+    """wp as a function of z, and (e1, e2, e3), from Jacobi theta functions
+    with 2*w1 = omega1 and nome q = exp(i pi omega2/omega1) (DLMF 23.6(i))."""
+    w1 = mpmath.mpc(omega1) / 2
+    q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(omega2) / mpmath.mpc(omega1))
+    t2, t3, t4 = (mpmath.jtheta(n, 0, q) for n in (2, 3, 4))
+    c = mpmath.pi ** 2 / (12 * w1 ** 2)
+    roots = (c * (t2 ** 4 + 2 * t4 ** 4), c * (t2 ** 4 - t4 ** 4), -c * (2 * t2 ** 4 + t4 ** 4))
+
+    def wp_theta(z):
+        xi = mpmath.pi * z / (2 * w1)
+        ratio = mpmath.jtheta(2, xi, q) / mpmath.jtheta(1, xi, q)
+        return roots[0] + (mpmath.pi * t3 * t4 * ratio / (2 * w1)) ** 2
+
+    return wp_theta, roots
+
+
+def test_values_match_theta_function_oracle():
+    rng = random.Random(23)
+    with mpmath.workdps(30):
+        for _ in range(3):
+            ctx = random_lattice(rng)  # Im(omega2/omega1) >= 0.9, so |q| < 0.06
+            wp_theta, (e1, e2, e3) = theta_oracle(ctx.omega1, ctx.omega2)
+            g2 = complex(2 * (e1 ** 2 + e2 ** 2 + e3 ** 2))
+            g3 = complex(4 * e1 * e2 * e3)
+            assert abs(ctx.g2 - g2) < 1e-11 * abs(g2)
+            assert abs(ctx.g3 - g3) < 1e-11 * abs(g3)
+            for _ in range(3):
+                z = random_sample_point(ctx, rng)
+                got = (wp(ctx, z), wp_prime(ctx, z), wp_second(ctx, z))
+                for n, value in enumerate(got):
+                    want = complex(mpmath.diff(wp_theta, mpmath.mpc(z), n))
+                    assert abs(value - want) < 1e-11 * abs(want), (n, z)
 
 
 def test_near_pole_raises():
