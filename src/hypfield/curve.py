@@ -1,5 +1,11 @@
 """Curve-side computations: the defining polynomial, its discriminant, and
-membership in the discriminant hypersurface."""
+membership in the discriminant hypersurface.
+
+The discriminant of the monic curve polynomial f of degree n = 2g+1 is, up
+to sign, the determinant of the n x n matrix of multiplication by f' on
+R[x]/(f), with R = Q or the ring of parameter polynomials (H. Cohen, *A
+Course in Computational Algebraic Number Theory*, GTM 138, section 3.3).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactmath import sylvester_resultant
+from .exactmath import det_exact, det_generic
 from .polyring import Poly, la
 from .relations import GenusContext
 
@@ -42,22 +48,36 @@ def curve_poly(lv: LambdaVector):
     return [Fraction(1), Fraction(0)] + [Fraction(lv.values[s]) for s in indices]
 
 
-def _derivative(coeffs):
-    n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+def _derivative_rows(coeffs) -> list:
+    """Rows x^j f' mod f, j = 0..n-1, as ascending coefficients, for monic f
+    of degree n given by descending coefficients.
+
+    They are the columns of the matrix of multiplication by f' on R[x]/(f),
+    so their determinant is res(f, f').  Multiplying by x shifts a row up
+    and replaces x^n by -(a_{n-1} x^{n-1} + ... + a_0); only +, - and * are
+    used, so the entries may be Fractions or Polys.
+    """
+    a = coeffs[::-1]  # a[k] is the coefficient of x^k; a[n] = 1
+    n = len(a) - 1
+    row = [c * k for k, c in enumerate(a) if k]  # f'
+    rows = [row]
+    for _ in range(n - 1):
+        top = row[-1]
+        row = [-(top * a[0])] + [row[k - 1] - top * a[k] for k in range(1, n)]
+        rows.append(row)
+    return rows
 
 
-def _discriminant(coeffs):
-    """disc(f) = (-1)^(n(n-1)/2) res(f, f') for monic f of degree n, given by
-    descending coefficients over Q or over the polynomial ring."""
+def _disc_sign(coeffs) -> int:
+    """disc(f) = (-1)^(n(n-1)/2) res(f, f') for monic f of degree n."""
     n = len(coeffs) - 1
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * sylvester_resultant(coeffs, _derivative(coeffs))
+    return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
 def discriminant(lv: LambdaVector) -> Fraction:
     """The discriminant of the monic curve polynomial at a parameter point."""
-    return _discriminant(curve_poly(lv))
+    coeffs = curve_poly(lv)
+    return _disc_sign(coeffs) * det_exact(_derivative_rows(coeffs))
 
 
 def in_sigma(lv: LambdaVector) -> bool:
@@ -67,5 +87,5 @@ def in_sigma(lv: LambdaVector) -> bool:
 
 def symbolic_discriminant(ctx: GenusContext) -> Poly:
     """The discriminant as a polynomial in the parameter symbols."""
-    symbols = [Poly.symbol(la(s)) for s in ctx.lambda_indices]
-    return _discriminant([Poly.one(), Poly.zero()] + symbols)
+    coeffs = [Poly.one(), Poly.zero()] + [Poly.symbol(la(s)) for s in ctx.lambda_indices]
+    return _disc_sign(coeffs) * det_generic(_derivative_rows(coeffs))

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, rank, determinants and resultants.
+"""Exact rational arithmetic, rank and determinants.
 
 Rational numbers are plain :class:`fractions.Fraction` values.  The stdlib
 type already keeps every value reduced with a positive denominator and
@@ -8,6 +8,8 @@ exactly the canonical form used throughout this package.
 Rank and determinant share one fraction-free (Bareiss) elimination on an
 integer rescaling of the matrix, which keeps intermediate entries as minors
 of the input instead of letting numerators and denominators blow up.
+Matrices with polynomial entries, such as the one behind the symbolic curve
+discriminant, go to the division-free :func:`det_generic` instead.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-
-class EmptyPolynomial(ValueError):
-    """Resultant requested for a polynomial with no coefficients at all."""
 
 
 def as_fraction(x) -> Fraction:
@@ -142,35 +140,3 @@ def det_generic(rows: list):
     full = (1 << n) - 1
     return states.get(full, 0 * rows[0][0])
 
-
-def sylvester_matrix(f: Sequence, h: Sequence) -> list:
-    """Sylvester matrix of two polynomials given by descending coefficients."""
-    if len(f) == 0 or len(h) == 0:
-        raise EmptyPolynomial("polynomial with degree < 0")
-    size = len(f) + len(h) - 2
-    rows = []
-    # deg h shifted copies of f, then deg f shifted copies of h
-    for coeffs, copies in ((f, len(h) - 1), (h, len(f) - 1)):
-        for i in range(copies):
-            row = [0] * size
-            row[i : i + len(coeffs)] = coeffs
-            rows.append(row)
-    return rows
-
-
-def sylvester_resultant(f: Sequence, h: Sequence):
-    """Determinant of the Sylvester matrix of f and h.
-
-    Coefficients are listed from the leading term down to the constant.
-    Entries may be Fractions or any ring elements supporting +, -, *.
-    """
-    if len(f) == 0 or len(h) == 0:
-        raise EmptyPolynomial("polynomial with degree < 0")
-    n = len(f) - 1
-    m = len(h) - 1
-    if n + m == 0:
-        return Fraction(1)
-    rows = sylvester_matrix(f, h)
-    if all(isinstance(e, (Fraction, int)) for row in rows for e in row):
-        return det_exact(rows)
-    return det_generic(rows)

@@ -309,17 +309,26 @@ def random_sample_point(
             return z
 
 
+def _exponents(weights: tuple, bound: int):
+    """Yield every exponent tuple with weighted degree <= bound, constant
+    included; each range stops at the remaining budget, so nothing is
+    generated and then filtered out."""
+    if not weights:
+        yield ()
+        return
+    w = weights[0]
+    for e in range(bound // w + 1):
+        for rest in _exponents(weights[1:], bound - w * e):
+            yield (e,) + rest
+
+
 def _monomials(weights: tuple, bound: int) -> list:
     """Exponent tuples with weighted degree <= bound, constant included,
     sorted by weight then exponents."""
     def weight(exps):
         return sum(w * e for w, e in zip(weights, exps))
 
-    ranges = [range(bound // w + 1) for w in weights]
-    return sorted(
-        (exps for exps in itertools.product(*ranges) if weight(exps) <= bound),
-        key=lambda exps: (weight(exps), exps),
-    )
+    return sorted(_exponents(weights, bound), key=lambda exps: (weight(exps), exps))
 
 
 @dataclass(frozen=True)
@@ -415,6 +424,12 @@ def independence_experiment(
     else:
         names = ("wp", "wp'", "wp''")
         weights = (2, 3, 4)
+    rows = lattice_count * samples_per_lattice
+    # count the columns only up to one past the rows, before any sampling
+    if sum(1 for _ in itertools.islice(_exponents(weights, weight_bound), rows + 1)) > rows:
+        raise InsufficientSamples(
+            f"{rows} rows < columns: more than {rows} monomials of weight <= {weight_bound}"
+        )
     monos = _monomials(weights, weight_bound)
     samples = []
     for _ in range(lattice_count):
@@ -424,8 +439,6 @@ def independence_experiment(
             samples.append(_wp_all(ctx, z)[: len(weights)])
     # a[i, j] = prod over generators g of samples[i][g] ** monos[j][g]
     a = np.prod(np.array(samples)[:, None, :] ** np.array(monos), axis=2)
-    if a.shape[0] < a.shape[1]:
-        raise InsufficientSamples(f"{a.shape[0]} rows < {a.shape[1]} columns")
     # row normalization leaves the column nullspace untouched but removes
     # the pole-driven dynamic range between samples; columns are then
     # scaled to unit norm so the verdict is not a conditioning artifact

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypfield
 from hypfield.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from hypfield.polyring import Poly
 
@@ -195,6 +200,20 @@ def test_independence_with_control(capsys):
     assert "single-lattice control:" in out
     assert "DEFICIENCY 1" in out
     assert "kernel:" in out
+
+
+def test_independence_too_many_columns_exits_fast():
+    # weight <= 400 has far more monomials than the 240 default samples; the
+    # column count must stop early, before any sampling or matrix is built.
+    # A separate process, so that a regression times out instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfield.cli", "independence", "--weight-bound", "400"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: 240 rows < columns")
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_from_argparse():

@@ -1,4 +1,10 @@
-"""Curve polynomial, discriminant, and the degenerate locus."""
+"""Curve polynomial, discriminant, and the degenerate locus.
+
+The discriminant is checked against oracles that share nothing with the
+multiplication-matrix construction: the cubic formula, the product of
+squared root differences, a Euclidean resultant over Q written below, and
+sympy's discriminant.
+"""
 
 import random
 from fractions import Fraction
@@ -13,8 +19,56 @@ from hypfield.curve import (
     in_sigma,
     symbolic_discriminant,
 )
-from hypfield.polyring import Poly, la
+from hypfield.polyring import Poly, homogeneous_weight, la
 from hypfield.relations import GenusContext
+
+
+def _rem(f, h):
+    """Remainder of f by h, descending Fraction coefficients, leading zeros
+    stripped (empty for the zero polynomial)."""
+    r = list(f)
+    while len(r) >= len(h):
+        q = r[0] / h[0]
+        r = [x - q * y for x, y in zip(r, h + [0] * (len(r) - len(h)))][1:]
+    while r and r[0] == 0:
+        r = r[1:]
+    return r
+
+
+def euclid_resultant(f, h):
+    """res(f, h) by the Euclidean algorithm over Q, for descending coefficient
+    lists with nonzero leading terms:
+    res(f, h) = (-1)^(deg f deg h) lc(h)^(deg f - deg r) res(h, r), r = f mod h.
+    """
+    n, m = len(f) - 1, len(h) - 1
+    if m == 0:
+        return h[0] ** n
+    r = _rem(f, h)
+    if not r:
+        return Fraction(0)
+    sign = -1 if n * m % 2 else 1
+    return sign * h[0] ** (n - len(r) + 1) * euclid_resultant(h, r)
+
+
+def euclid_discriminant(lv):
+    f = curve_poly(lv)
+    n = len(f) - 1
+    df = [c * (n - i) for i, c in enumerate(f[:-1])]
+    return (-1) ** (n * (n - 1) // 2) * euclid_resultant(f, df)
+
+
+def from_coeffs(g, descending):
+    """The LambdaVector of a monic polynomial with zero x^(2g) coefficient."""
+    assert descending[:2] == [1, 0] and len(descending) == 2 * g + 2
+    return LambdaVector.from_sequence(g, descending[2:])
+
+
+def multiply(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
 
 
 def lv1(l4, l6):
@@ -40,6 +94,52 @@ def test_discriminant_cubic_formula():
         l4 = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         l6 = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         assert discriminant(lv1(l4, l6)) == -4 * l4 ** 3 - 27 * l6 ** 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_discriminant_matches_euclidean_resultant(g):
+    rng = random.Random(100 + g)
+    for _ in range(6):
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2 * g)]
+        lv = LambdaVector.from_sequence(g, vals)
+        want = euclid_discriminant(lv)
+        assert want != 0
+        assert discriminant(lv) == want
+
+
+def test_discriminant_vanishes_at_double_root_genus4():
+    # (x - a)^2 h with h monic of degree 7 whose x^6 coefficient is 2a, so
+    # the product keeps the family's zero x^8 coefficient
+    rng = random.Random(44)
+    a = Fraction(3, 2)
+    h = [Fraction(1), 2 * a] + [Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for _ in range(6)]
+    lv = from_coeffs(4, multiply(multiply([1, -a], [1, -a]), h))
+    assert euclid_discriminant(lv) == 0
+    assert discriminant(lv) == 0
+    assert in_sigma(lv)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_discriminant_is_product_of_squared_root_differences(g):
+    # f = prod (x - r_i) with sum r_i = 0: disc(f) = prod_{i<j} (r_i - r_j)^2
+    rng = random.Random(7 * g)
+    for _ in range(5):
+        roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2 * g)]
+        roots.append(-sum(roots))
+        f = [Fraction(1)]
+        for r in roots:
+            f = multiply(f, [1, -r])
+        want = Fraction(1)
+        for i, r in enumerate(roots):
+            for t in roots[i + 1 :]:
+                want *= (r - t) ** 2
+        assert discriminant(from_coeffs(g, f)) == want
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_symbolic_discriminant_weight(g):
+    # weighted homogeneous: la_s has weight s, and disc has weight 4g(2g+1)
+    assert homogeneous_weight(symbolic_discriminant(GenusContext(g))) == 4 * g * (2 * g + 1)
 
 
 def test_discriminant_detects_multiple_root():

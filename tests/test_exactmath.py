@@ -1,7 +1,7 @@
 """Exact linear algebra, cross-checked against independent textbook oracles.
 
-Rank is compared with a plain Fraction Gaussian elimination, determinants
-with cofactor expansion, and resultants with the root-product formula.
+Rank is compared with a plain Fraction Gaussian elimination and
+determinants with cofactor expansion.
 """
 
 import random
@@ -12,15 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypfield.exactmath import (
-    EmptyPolynomial,
     as_fraction,
     det_exact,
     det_generic,
     format_rational,
     parse_rational,
     rank_exact,
-    sylvester_matrix,
-    sylvester_resultant,
 )
 from hypfield.polyring import Poly, b1, b2, b3
 
@@ -72,23 +69,6 @@ def cofactor_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def poly_eval(coeffs, x):
-    """Horner on descending coefficients."""
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def poly_from_roots(roots, lead=Fraction(1)):
-    coeffs = [lead]
-    for r in roots:
-        coeffs = [c for c in coeffs] + [Fraction(0)]
-        for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i] -= r * coeffs[i - 1]
-    return coeffs
 
 
 # --- scalars ----------------------------------------------------------------
@@ -198,55 +178,3 @@ def test_det_generic_polynomial_entries():
     want = x * (z * y - x * x) - y * (y * y)
     assert got == want
 
-
-# --- resultants -------------------------------------------------------------
-
-def test_sylvester_matrix_shape():
-    rows = sylvester_matrix([1, 0, -2], [3, 1])
-    assert len(rows) == 3 and all(len(r) == 3 for r in rows)
-
-
-def test_resultant_matches_root_product():
-    rng = random.Random(11)
-    for _ in range(15):
-        roots = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
-        f = poly_from_roots(roots)
-        h = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-        if h[0] == 0:
-            h[0] = Fraction(1)
-        # res(f, h) = lc(f)^deg(h) * prod h(root) for monic f
-        expected = Fraction(1)
-        for r in roots:
-            expected *= poly_eval(h, r)
-        assert sylvester_resultant(f, h) == expected
-
-
-def test_resultant_zero_iff_common_root():
-    f = poly_from_roots([Fraction(2), Fraction(-1)])
-    h = poly_from_roots([Fraction(2), Fraction(5)])
-    assert sylvester_resultant(f, h) == 0
-    h2 = poly_from_roots([Fraction(3), Fraction(5)])
-    assert sylvester_resultant(f, h2) != 0
-
-
-def test_resultant_swap_sign():
-    # res(h, f) = (-1)^(deg f * deg h) res(f, h)
-    f = [Fraction(1), Fraction(0), Fraction(-2)]   # deg 2
-    h = [Fraction(2), Fraction(1), Fraction(3)]    # deg 2
-    assert sylvester_resultant(h, f) == sylvester_resultant(f, h)
-    h3 = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]  # deg 3
-    assert sylvester_resultant(h3, f) == sylvester_resultant(f, h3)
-    lin1 = [Fraction(1), Fraction(2)]
-    lin2 = [Fraction(1), Fraction(3)]
-    assert sylvester_resultant(lin1, lin2) == -sylvester_resultant(lin2, lin1)
-
-
-def test_resultant_empty_polynomial():
-    with pytest.raises(EmptyPolynomial):
-        sylvester_resultant([], [1, 2])
-    with pytest.raises(EmptyPolynomial):
-        sylvester_matrix([1], [])
-
-
-def test_resultant_constant_polynomials():
-    assert sylvester_resultant([Fraction(5)], [Fraction(7)]) == 1

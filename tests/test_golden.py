@@ -1,10 +1,15 @@
-"""Byte identity of ``hypfield table`` and ``hypfield verify`` output.
+"""Byte identity of ``hypfield table`` and ``hypfield verify`` output and of
+the genus-3 symbolic discriminant.
 
 The digests below are SHA-256 hashes of the stdout of
 ``python -m hypfield.cli {table,verify} --genus g`` for g = 1..8, captured
 before the exact ``Poly.__pow__`` and the one-pass ``Poly.substitute``
 replaced the previous loops.  Any change to the polynomial core must keep
 every byte of these outputs.
+
+``SYMBOLIC_DISC_G3`` is the SHA-256 of ``str(symbolic_discriminant(
+GenusContext(3))) + "\n"``, captured while the discriminant was still the
+determinant of the Sylvester matrix of f and f'.
 """
 
 import hashlib
@@ -12,6 +17,8 @@ import hashlib
 import pytest
 
 from hypfield.cli import EXIT_OK, main
+from hypfield.curve import symbolic_discriminant
+from hypfield.relations import GenusContext
 
 GOLDEN = {
     ("table", 1): "0637df51c9ef2ef945c9daa5679538387a1b420f17cc701534d5cf2acd28a2d4",
@@ -32,6 +39,8 @@ GOLDEN = {
     ("verify", 8): "6ca3f3d1c703759dcebbc8d2d069b2c0a897acc7ebcec51277ac3215fbc10301",
 }
 
+SYMBOLIC_DISC_G3 = "7b24fb2f6b1387e9695bd04dbba589b2884f2a18bab5ca507864dabfba55b213"
+
 
 @pytest.mark.parametrize("command,genus", sorted(GOLDEN, key=lambda k: (k[1], k[0])))
 def test_output_digest(capsys, command, genus):
@@ -39,3 +48,8 @@ def test_output_digest(capsys, command, genus):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, genus]
+
+
+def test_symbolic_discriminant_digest():
+    text = str(symbolic_discriminant(GenusContext(3))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_DISC_G3

@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypfield import numerics1
 from hypfield.numerics1 import (
     DegenerateLattice,
     InsufficientSamples,
@@ -287,6 +288,19 @@ def test_single_lattice_control_finds_the_cubic():
 def test_insufficient_samples_raises():
     with pytest.raises(InsufficientSamples):
         independence_experiment(1, 3, 6, seed=0)
+    with pytest.raises(InsufficientSamples):  # zero samples, not an IndexError
+        independence_experiment(1, 0, 6, seed=0)
+
+
+def test_insufficient_samples_raised_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled although the columns outnumber the rows")
+
+    monkeypatch.setattr(numerics1, "random_sample_point", no_sampling)
+    with pytest.raises(InsufficientSamples):
+        independence_experiment(6, 40, 400, seed=0)
+    with pytest.raises(InsufficientSamples):
+        independence_experiment(1, 6, 6, seed=0)  # 7 columns, 6 rows
 
 
 def test_experiment_argument_validation():
