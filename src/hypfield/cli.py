@@ -26,7 +26,7 @@ from .numerics1 import (
     random_lattice,
     random_sample_point,
 )
-from .polyring import Poly
+from .polyring import ExponentOverflow, Poly
 from .relations import GenusContext
 from .rewriter import (
     DivisionByZeroPoly,
@@ -226,6 +226,9 @@ def _reduce_one(ctx, table, text: str) -> int:
         return EXIT_NUMERIC
     except RecursionError:  # the parser and the reducer recurse once per nesting level
         print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except ExponentOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(format_fraction(num, den))
     return EXIT_OK

@@ -46,6 +46,9 @@ class InsufficientSamples(ValueError):
     """Fewer sample rows than monomial columns."""
 
 
+MAX_SAMPLE_ROWS = 10_000  # lattices * samples per lattice; one lattice sum per row
+
+
 _TAYLOR_ORDER = 10  # subtraction order M; tail is O((|z|/R)^(M+1))
 _SHELLS = 40  # summation radius R, in shortest periods
 _EISENSTEIN_CUTOFF = 40  # Fourier terms in the invariants g2, g3
@@ -425,6 +428,11 @@ def independence_experiment(
         names = ("wp", "wp'", "wp''")
         weights = (2, 3, 4)
     rows = lattice_count * samples_per_lattice
+    if rows > MAX_SAMPLE_ROWS:
+        raise ValueError(
+            f"{lattice_count} lattices * {samples_per_lattice} samples = {rows} rows "
+            f"is above the cap of {MAX_SAMPLE_ROWS}"
+        )
     # count the columns only up to one past the rows, before any sampling
     if sum(1 for _ in itertools.islice(_exponents(weights, weight_bound), rows + 1)) > rows:
         raise InsufficientSamples(

@@ -8,21 +8,41 @@ and every identity handled by the engine is homogeneous with respect to it:
     |b1_k| = 1 + k    |b2_k| = 2 + k    |b3_k| = 3 + k
     |w_k_l| = k + l   |la_s| = s
 
-Terms are kept in a canonical graded-lex order over the fixed symbol order
-b1_1 < b1_3 < ... < b2_1 < ... < b3_1 < ... < w_3_3 < ... < la_4 < ...,
+Terms are printed in a canonical graded-lex order over the fixed symbol
+order b1_1 < b1_3 < ... < b2_1 < ... < b3_1 < ... < w_3_3 < ... < la_4 < ...,
 so serialized polynomials are byte-stable across runs.  That order is
 ``Symbol``'s own tuple order: a symbol is the tuple ``(rank, indices)``.
 
-The monomial layout is private to this module: no other module builds or
-takes apart the keys of ``Poly.terms``.  Callers go through ``Poly.symbol``,
-``Poly.coeff``, ``Poly.symbols`` and ``strip_common_monomial``.
+Inside a ``Poly`` a monomial is one nonnegative int (the packed layout of
+Monagan & Pearce, "Sparse polynomial multiplication and division in
+Maple 14", 2009), so a monomial product is one integer addition:
+
+    bits 0..63                the monomial's weight; bit 63 is a guard bit
+    bits 64+16i .. 64+16i+15  the exponent of the i-th registered symbol;
+                              the top bit of the field is its guard bit
+
+A symbol gets the next free field the first time any polynomial uses it, so
+the layout depends on the order of first use within a process.  Nothing
+outside this module sees it: callers go through ``Poly(terms)``,
+``Poly.symbol``, ``sorted_terms``, ``coeff``, ``symbols`` and
+``strip_common_monomial``, which speak in symbols and ``(Symbol, exponent)``
+tuples, and pickling stores that symbolic form.  Each exponent is at most
+``MAX_EXPONENT`` (32,767); a sum of two exponents below the cap never
+carries out of its field, and a product or power that sets a guard bit
+raises ``ExponentOverflow`` instead of wrapping.
+
+``Poly.terms`` maps each packed monomial to an int numerator over the one
+positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
+equal polynomials have equal ``terms`` and ``den``.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-
-from .exactmath import format_rational
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 _KINDS = ("b1", "b2", "b3", "w", "la")  # in symbol order
 _KIND_BASE_WEIGHT = {"b1": 1, "b2": 2, "b3": 3}
@@ -30,6 +50,10 @@ _KIND_BASE_WEIGHT = {"b1": 1, "b2": 2, "b3": 3}
 
 class OffsetUnderflow(ArithmeticError):
     """A xi-series product produced a nonzero coefficient below xi^-1."""
+
+
+class ExponentOverflow(ArithmeticError):
+    """A product or power would raise a symbol past ``MAX_EXPONENT``."""
 
 
 class Symbol(tuple):
@@ -106,70 +130,156 @@ def la(s: int) -> Symbol:
     return Symbol("la", (s,))
 
 
-# A monomial is a tuple of (Symbol, exponent) pairs sorted by symbol order,
-# exponents strictly positive. The empty tuple is the constant monomial.
+# --- packed monomials -------------------------------------------------------
 
-def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for sym, e in m2:
+_WEIGHT_BITS = 64
+_WEIGHT_MASK = (1 << _WEIGHT_BITS) - 1
+_FIELD_BITS = 16
+MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1  # 32767; the field's top bit is the guard
+
+# The registry, one entry per field in order of first use: the symbol, its
+# packed first power (field bit plus weight) and its printed name.  It only
+# grows, and no packed value leaves this module, so sharing it across the
+# process is invisible to callers; the lock keeps concurrent first uses of a
+# symbol from taking two fields.
+_SYMS: list = []
+_UNITS: list = []
+_NAMES: list = []
+_FIELD_OF: dict = {}  # Symbol -> field index
+_rank: list = []  # field index -> position of its symbol in symbol order
+_guard = 1 << (_WEIGHT_BITS - 1)  # the guard bits of the weight and of every field
+_registry_lock = threading.Lock()
+
+
+def _field(sym: Symbol) -> int:
+    i = _FIELD_OF.get(sym)
+    if i is None:
+        global _guard
+        with _registry_lock:
+            i = _FIELD_OF.get(sym)
+            if i is None:
+                i = len(_SYMS)
+                shift = _WEIGHT_BITS + _FIELD_BITS * i
+                _SYMS.append(sym)
+                _UNITS.append((1 << shift) + sym.weight)
+                _NAMES.append(sym.name)
+                _guard |= 1 << (shift + _FIELD_BITS - 1)
+                _FIELD_OF[sym] = i
+    return i
+
+
+def _factors(m: int) -> list:
+    """``(field, exponent)`` for each nonzero field of ``m``, top field first.
+
+    Only the nonzero fields are visited, so the cost grows with the number
+    of symbols in the monomial, not with the number registered."""
+    m >>= _WEIGHT_BITS
+    out = []
+    while m:
+        i = (m.bit_length() - 1) // _FIELD_BITS
+        shift = _FIELD_BITS * i
+        e = m >> shift
+        out.append((i, e))
+        m ^= e << shift
+    return out
+
+
+def _pack(mono) -> int:
+    exps = {}
+    for sym, e in mono:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent of {sym} must be a nonnegative integer, got {e!r}")
         exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items()))
+    m = 0
+    for sym, e in exps.items():
+        if e > MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent {e} of {sym} is above {MAX_EXPONENT}")
+        m += e * _UNITS[_field(sym)]
+    return m
 
 
-def mono_weight(m: tuple) -> int:
-    return sum(sym.weight * e for sym, e in m)
-
-
-def mono_sort_key(m: tuple) -> tuple:
+def _order_key(m: int) -> tuple:
     # graded-lex, descending: heavier first, then lexicographically larger
-    # exponent vectors first (smaller tuple compares first, hence the -e)
-    return (-mono_weight(m), tuple((sym, -e) for sym, e in m))
+    # exponent vectors first.  A field's rank is its symbol's position in
+    # symbol order, so ranks compare as the symbols do; the field index after
+    # (rank, -e) never decides a comparison and is kept for printing.
+    global _rank
+    rank = _rank
+    if len(rank) != len(_SYMS):  # a symbol registered since the last ranking
+        with _registry_lock:
+            rank = [0] * len(_SYMS)
+            for r, i in enumerate(sorted(range(len(_SYMS)), key=_SYMS.__getitem__)):
+                rank[i] = r
+            _rank = rank
+    return (-(m & _WEIGHT_MASK), sorted([(rank[i], -e, i) for i, e in _factors(m)]))
 
 
-def mono_str(m: tuple) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for sym, e in m:
-        parts.append(sym.name if e == 1 else f"{sym.name}^{e}")
-    return "*".join(parts)
+def mono_weight(mono: tuple) -> int:
+    """Weight of a monomial given as ``((Symbol, exponent), ...)``."""
+    return sum(sym.weight * e for sym, e in mono)
+
+
+def _poly(terms: dict, den: int = 1) -> "Poly":
+    """The private constructor: packed monomial -> int numerator over
+    ``den`` > 0.  Drops zero numerators and divides out ``gcd(den, *terms)``."""
+    if 0 in terms.values():
+        terms = {m: c for m, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    p = object.__new__(Poly)
+    p.terms, p.den = terms, den
+    return p
+
+
+def _check_overflow(a: dict, b: dict, out: dict) -> None:
+    # OR-ing a polynomial's monomials bounds each field from above by less
+    # than twice its largest exponent; only when two such bounds could carry
+    # are the product's own monomials tested.
+    if (reduce(or_, a) + reduce(or_, b)) & _guard and reduce(or_, out) & _guard:
+        raise ExponentOverflow(f"a product raises an exponent above {MAX_EXPONENT}")
 
 
 class Poly:
-    """Sparse polynomial over Q in the graded symbols. Immutable by convention."""
+    """Sparse polynomial over Q in the graded symbols. Immutable by convention.
 
-    __slots__ = ("terms",)
+    ``Poly(terms)`` takes ``{((Symbol, exponent), ...): coefficient}`` with
+    int or Fraction coefficients; every operation returns a new ``Poly``."""
+
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
+        coeffs = {}
+        for mono, c in (terms or {}).items():
+            m = _pack(mono)
+            coeffs[m] = coeffs.get(m, 0) + Fraction(c)
+        den = lcm(*(q.denominator for q in coeffs.values()))
+        p = _poly({m: q.numerator * (den // q.denominator) for m, q in coeffs.items()}, den)
+        self.terms, self.den = p.terms, p.den
+
+    def __reduce__(self):  # pickle and copy store the symbolic terms, never packed ints
+        return Poly, (dict(self.sorted_terms()),)
 
     # constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return _poly({})
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({(): Fraction(1)})
+        return _poly({0: 1})
 
     @classmethod
     def const(cls, q) -> "Poly":
-        return cls({(): Fraction(q)})
+        q = Fraction(q)
+        return _poly({0: q.numerator}, q.denominator)
 
     @classmethod
     def symbol(cls, sym: Symbol) -> "Poly":
-        return cls({((sym, 1),): Fraction(1)})
+        return _poly({_UNITS[_field(sym)]: 1})
 
     # ring operations ------------------------------------------------------
 
@@ -185,15 +295,22 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return Poly(out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = dict(self.terms) if sa == 1 else {m: c * sa for m, c in self.terms.items()}
+        get = out.get
+        for m, c in other.terms.items():
+            out[m] = get(m, 0) + c * sb
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = Poly._coerce(other)
@@ -207,15 +324,23 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return Poly({m: c * q for m, c in self.terms.items()})
+            n = q.numerator
+            return _poly({m: c * n for m, c in self.terms.items()}, self.den * q.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _poly({})
+        if len(a) > len(b):  # the shorter polynomial drives the outer loop
+            a, b = b, a
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(out)
+        get = out.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        _check_overflow(a, b, out)
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -225,7 +350,8 @@ class Poly:
         ``p ** n`` takes ``n.bit_length() - 1`` squarings and
         ``popcount(n) - 1`` further products; ``p ** 0`` and ``p ** 1`` take
         none.  The result starts from the first factor it needs, not from
-        ``Poly.one()``, and the base is never squared past the top bit.
+        ``Poly.one()``, and the base is never squared past the top bit, so a
+        squaring overflows only when the power itself would.
         """
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
@@ -256,30 +382,36 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
+
+    def _keyed_terms(self) -> list:
+        """``(order key, numerator)`` for every term, in print order."""
+        return sorted((_order_key(m), c) for m, c in self.terms.items())
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]))
+        """``[(((Symbol, exponent), ...), Fraction), ...]`` in print order."""
+        return [
+            (tuple((_SYMS[i], -ne) for _, ne, i in key[1]), Fraction(c, self.den))
+            for key, c in self._keyed_terms()
+        ]
 
     def leading_coeff(self) -> Fraction:
-        terms = self.sorted_terms()
-        if not terms:
+        if not self.terms:
             return Fraction(0)
-        return terms[0][1]
+        return Fraction(self.terms[min(self.terms, key=_order_key)], self.den)
 
     def symbols(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for sym, _ in mono:
-                out.add(sym)
-        return out
+        return {_SYMS[i] for i, _ in _factors(reduce(or_, self.terms, 0))}
 
     def coeff(self, sym: Symbol) -> Fraction:
         """Coefficient of the term that is ``sym`` alone, to the first power."""
-        return self.terms.get(((sym, 1),), Fraction(0))
+        i = _FIELD_OF.get(sym)
+        if i is None:
+            return Fraction(0)
+        return Fraction(self.terms.get(_UNITS[i], 0), self.den)
 
     # structural operations ------------------------------------------------
 
@@ -288,34 +420,45 @@ class Poly:
 
         Substitution is a ring homomorphism; unmapped symbols pass through.
         Each distinct ``(symbol, exponent)`` image is powered once (see
-        ``__pow__``); a term with k factors then takes k - 1 products, and
-        its coefficient-scaled terms are added straight into one running
-        coefficient dict, so a constant or single-factor term takes none.
+        ``__pow__``); a term with k mapped factors then takes k - 1 products,
+        plus one by the monomial of its unmapped factors, if any.  The terms'
+        numerators are added into one running dict per denominator, so a
+        term with no mapped factor takes no product at all.
         """
         if not env:
             return self
         cache = {}
-
-        def image_pow(sym: Symbol, e: int) -> "Poly":
-            key = (sym, e)
-            if key not in cache:
-                base = env.get(sym)
-                if base is None:
-                    cache[key] = Poly({((sym, e),): Fraction(1)})
-                else:
-                    cache[key] = base ** e
-            return cache[key]
-
-        one = Poly.one()
-        out = {}
+        groups = {}  # denominator -> {monomial: numerator}
         for mono, c in self.terms.items():
-            factors = [image_pow(sym, e) for sym, e in mono] or [one]
-            term = factors[0]
-            for image in factors[1:]:
-                term = term * image
+            term = None
+            rest = mono
+            for i, e in _factors(mono):
+                image = env.get(_SYMS[i])
+                if image is None:
+                    continue
+                rest -= e * _UNITS[i]
+                power = cache.get((i, e))
+                if power is None:
+                    power = cache[i, e] = image ** e
+                term = power if term is None else term * power
+            if term is None:
+                acc = groups.setdefault(1, {})
+                acc[mono] = acc.get(mono, 0) + c
+                continue
+            if rest:
+                term = term * _poly({rest: 1})
+            acc = groups.setdefault(term.den, {})
+            get = acc.get
             for m, v in term.terms.items():
-                out[m] = out.get(m, 0) + c * v
-        return Poly(out)
+                acc[m] = get(m, 0) + c * v
+        den = lcm(*groups)
+        out = {}
+        get = out.get
+        for d, acc in groups.items():
+            scale = den // d
+            for m, v in acc.items():
+                out[m] = get(m, 0) + v * scale
+        return _poly(out, den * self.den)
 
     def evaluate(self, env: dict):
         """Numeric evaluation; env must cover every symbol of the polynomial.
@@ -325,45 +468,43 @@ class Poly:
         total = None
         for mono, c in self.terms.items():
             val = c
-            for sym, e in mono:
-                val = val * env[sym] ** e
+            for i, e in _factors(mono):
+                val = val * env[_SYMS[i]] ** e
             total = val if total is None else total + val
-        return Fraction(0) if total is None else total
+        return Fraction(0) if total is None else total / Fraction(self.den)
 
     def diff(self, sym: Symbol) -> "Poly":
         """Partial derivative with respect to one symbol, termwise."""
+        i = _FIELD_OF.get(sym)
+        if i is None:
+            return _poly({})
+        unit, shift = _UNITS[i], _WEIGHT_BITS + _FIELD_BITS * i
         out = {}
         for mono, c in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(sym)
-            if not e:
-                continue
-            if e == 1:
-                del exps[sym]
-            else:
-                exps[sym] = e - 1
-            m = tuple(sorted(exps.items()))
-            out[m] = out.get(m, Fraction(0)) + c * e
-        return Poly(out)
+            e = (mono >> shift) & MAX_EXPONENT
+            if e:
+                out[mono - unit] = c * e
+        return _poly(out, self.den)
 
     def __str__(self):
-        terms = self.sorted_terms()
-        if not terms:
+        if not self.terms:
             return "0"
+        den = self.den
         parts = []
-        for i, (mono, coeff) in enumerate(terms):
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
+        for key, c in self._keyed_terms():
+            g = gcd(c, den)
+            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            mono = "*".join(_NAMES[i] if ne == -1 else f"{_NAMES[i]}^{-ne}" for _, ne, i in key[1])
             if not mono:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = mono_str(mono)
+                body = mag
+            elif mag == "1":
+                body = mono
             else:
-                body = f"{format_rational(mag)}*{mono_str(mono)}"
-            if i == 0:
-                parts.append(body if sign == "+" else f"-{body}")
+                body = f"{mag}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
             else:
-                parts.append(f" {sign} {body}")
+                parts.append(f" {'+' if c > 0 else '-'} {body}")
         return "".join(parts)
 
     def __repr__(self):
@@ -373,21 +514,20 @@ class Poly:
 def strip_common_monomial(num: Poly, den: Poly):
     """Divide both polynomials by the largest monomial dividing every term
     of either; the pair comes back unchanged when that monomial is 1."""
-    monos = iter([*num.terms, *den.terms])
-    common = dict(next(monos, ()))
-    for mono in monos:
-        if not common:
-            break
-        exps = dict(mono)
-        common = {sym: min(e, exps[sym]) for sym, e in common.items() if sym in exps}
+    monos = [*num.terms, *den.terms]
+    common = 0
+    for i, e in _factors(monos[0] if monos else 0):
+        shift = _WEIGHT_BITS + _FIELD_BITS * i
+        for m in monos:
+            e = min(e, (m >> shift) & MAX_EXPONENT)
+            if not e:
+                break
+        common += e * _UNITS[i]
     if not common:
         return num, den
 
     def divide(p: Poly) -> Poly:
-        return Poly({
-            tuple((sym, e - common.get(sym, 0)) for sym, e in mono if e != common.get(sym, 0)): c
-            for mono, c in p.terms.items()
-        })
+        return _poly({m - common: c for m, c in p.terms.items()}, p.den)
 
     return divide(num), divide(den)
 
@@ -397,7 +537,7 @@ MIXED = None  # sentinel returned by homogeneous_weight for mixed-weight input
 
 def homogeneous_weight(p: Poly):
     """Common weight of all terms, 0 for the zero polynomial, None if mixed."""
-    weights = {mono_weight(m) for m in p.terms}
+    weights = {m & _WEIGHT_MASK for m in p.terms}
     if not weights:
         return 0
     if len(weights) == 1:

@@ -53,3 +53,23 @@ def test_install_then_uninstall_restores_every_original():
         after = vars(holder)
         changed = [k for k, v in namespace.items() if after.get(k) is not v]
         assert not changed, (holder, changed)
+
+
+def test_traced_table_counts_the_printed_terms(capsys):
+    """The count hooks read ``len(p.terms)``: one entry per printed term."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = hypfield.cli.main(["table", "--genus", "2"])
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert code == 0
+    printed = 0
+    for line in out.splitlines():
+        _, eq, rhs = line.partition(" = ")
+        if eq and rhs != "0":
+            printed += 1 + rhs.count(" + ") + rhs.count(" - ")
+    assert printed > 0
+    assert tracer.counts["rewriter.table_terms"] == printed
+    assert tracer.counts["polyring.Poly.mul.term_pairs"] > 0

@@ -92,6 +92,38 @@ def test_reduce_division_by_zero(capsys):
     assert "zero" in err
 
 
+@pytest.mark.parametrize("text", ["p[1,1]^40000", "p[1,1]^20000*p[1,1]^20000"])
+def test_reduce_exponent_overflow_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "reduce", "--genus", "1", text)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "32767" in err
+    assert out == ""
+
+
+def test_reduce_powers_up_to_the_exponent_cap(capsys):
+    code, out, _ = run(capsys, "reduce", "--genus", "1", "p[1,1]^32767")
+    assert code == EXIT_OK
+    assert out == "b1_1^32767\n"
+    code, out, _ = run(capsys, "reduce", "--genus", "2", "(p[1,1]+p[1,3]+1)^60")
+    assert code == EXIT_OK
+    assert out.startswith("b1_3^60 + 60*b1_1*b1_3^59 + 1770*b1_1^2*b1_3^58 + 60*b1_3^59")
+    assert out.count(" + ") == 1890  # all C(62, 2) terms of the trinomial power
+
+
+def test_independence_sample_rows_capped():
+    # lattices * samples above the cap exits before any sampling; a separate
+    # process, so that a regression times out instead of running for an hour
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfield.cli", "independence", "--lattices", "100000"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: 100000 lattices * 40 samples")
+    assert "cap of 10000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 DEEP = {
     "parentheses": "(" * 300 + "1" + ")" * 300,
     "unary minus": "-" * 3000 + "1",

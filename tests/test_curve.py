@@ -194,7 +194,7 @@ def test_symbolic_discriminant_matches_sympy(g):
         for exps, c in sympy.Poly(sympy.discriminant(f, x), *lams).terms()
     }
     got = {}
-    for mono, coeff in symbolic_discriminant(GenusContext(g)).terms.items():
+    for mono, coeff in symbolic_discriminant(GenusContext(g)).sorted_terms():
         powers = {sym.indices[0]: e for sym, e in mono}
         got[tuple(powers.get(s, 0) for s in indices)] = coeff
     assert got == want

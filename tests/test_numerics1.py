@@ -303,6 +303,20 @@ def test_insufficient_samples_raised_before_sampling(monkeypatch):
         independence_experiment(1, 6, 6, seed=0)  # 7 columns, 6 rows
 
 
+def test_sample_rows_capped_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled although the rows are above the cap")
+
+    monkeypatch.setattr(numerics1, "random_sample_point", no_sampling)
+    with pytest.raises(ValueError, match="above the cap of 10000"):
+        independence_experiment(101, 100, 8, seed=0)
+    with pytest.raises(ValueError, match="above the cap of 10000"):
+        independence_experiment(1, 10_001, 6, seed=0)
+    # exactly at the cap the rows pass and the column count decides
+    with pytest.raises(InsufficientSamples):
+        independence_experiment(100, 100, 400, seed=0)
+
+
 def test_experiment_argument_validation():
     with pytest.raises(ValueError):
         independence_experiment(0, 10, 6, seed=0)

@@ -1,20 +1,30 @@
 """Graded polynomial ring and truncated xi-series.
 
-Ring laws are property-tested; the series product is checked against a
-naive dict-based convolution oracle written independently here.
+Ring laws are property-tested; arithmetic, substitution, derivatives,
+evaluation and printing are checked against a dict-of-tuples oracle written
+independently here, and the series product against a naive dict-based
+convolution oracle.
 """
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypfield
 from hypfield.polyring import (
+    MAX_EXPONENT,
     MIXED,
+    ExponentOverflow,
     OffsetUnderflow,
     Poly,
     Symbol,
@@ -142,7 +152,7 @@ def test_pow_multiply_count(monkeypatch, n):
 
     def counting_mul(a, b):
         out = mul(a, b)
-        degrees.append(max(sum(e for _, e in m) for m in out.terms))
+        degrees.append(max(sum(e for _, e in m) for m, _ in out.sorted_terms()))
         return out
 
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
@@ -163,6 +173,211 @@ def test_scalar_coercion(p):
     assert 2 * p == p + p
     assert p + 0 == p
     assert 1 - p == Poly.one() - p
+
+
+# --- independent oracle -----------------------------------------------------
+# A reference polynomial is a dict {((Symbol, e), ...) sorted by symbol:
+# Fraction} with no zero coefficient, and every operation on it is the
+# schoolbook one.
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for s, e in m2:
+                exps[s] = exps.get(s, 0) + e
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_pow(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, env):
+    out = {}
+    for m, c in a.items():
+        term = {(): c}
+        for s, e in m:
+            term = ref_mul(term, ref_pow(env.get(s, {((s, 1),): Fraction(1)}), e))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_diff(a, sym):
+    out = {}
+    for m, c in a.items():
+        e = dict(m).get(sym, 0)
+        if e:
+            rest = tuple((s, k - (s == sym)) for s, k in m if (s, k) != (sym, 1))
+            out[rest] = c * e
+    return out
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for m, c in a.items():
+        for s, e in m:
+            c *= point[s] ** e
+        total += c
+    return total
+
+
+def ref_str(a):
+    def key(item):  # heavier first, then larger exponents of earlier symbols
+        return (-sum(s.weight * e for s, e in item[0]), [(s, -e) for s, e in item[0]])
+
+    parts = []
+    for m, c in sorted(a.items(), key=key):
+        mag = str(abs(c))  # Fraction prints n/d in lowest terms, n when d == 1
+        mono = "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in m)
+        body = mag if not m else mono if mag == "1" else f"{mag}*{mono}"
+        sign = "-" if c < 0 else "+"
+        parts.append(f" {sign} {body}" if parts else body if c > 0 else f"-{body}")
+    return "".join(parts) or "0"
+
+
+# fresh symbols, so that hypothesis' draws decide the order they are
+# registered in; the exponents include values just below and at the cap
+WIDE_SYMS = [b1(1), b2(3), b1(99), b3(97), w(95, 99), w(3, 97), la(200), la(4)]
+oracle_coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(bool)
+small_exps = st.integers(1, 3)
+wide_exps = st.one_of(
+    small_exps,
+    st.integers(MAX_EXPONENT // 2 - 1, MAX_EXPONENT // 2 + 1),
+    st.integers(MAX_EXPONENT - 1, MAX_EXPONENT),
+)
+
+
+@st.composite
+def ref_polys(draw, exps=small_exps, max_terms=4):
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        syms = draw(st.lists(st.sampled_from(WIDE_SYMS), max_size=3, unique=True))
+        m = tuple(sorted((s, draw(exps)) for s in syms))
+        out[m] = out.get(m, 0) + draw(oracle_coeffs)
+    return {m: c for m, c in out.items() if c}
+
+
+def view(p):
+    return dict(p.sorted_terms())
+
+
+def check(got, want):
+    # the public view and the text against the oracle, and lowest terms:
+    # equal to the same value built term by term
+    assert view(got) == want and str(got) == ref_str(want) and got == Poly(want)
+
+
+def overflows(ref):
+    return any(e > MAX_EXPONENT for m in ref for _, e in m)
+
+
+@given(ref_polys(wide_exps), ref_polys(wide_exps), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_oracle(a, b, n):
+    pa, pb = Poly(a), Poly(b)
+    check(pa, a)
+    check(pa + pb, ref_add(a, b))
+    check(pa - pb, ref_add(a, {m: -c for m, c in b.items()}))
+    for got, want in ((lambda: pa * pb, ref_mul(a, b)), (lambda: pa ** n, ref_pow(a, n))):
+        if overflows(want):
+            with pytest.raises(ExponentOverflow):
+                got()
+        else:
+            check(got(), want)
+    for s in WIDE_SYMS:
+        check(pa.diff(s), ref_diff(a, s))
+
+
+@given(ref_polys(wide_exps), st.lists(st.sampled_from([-1, 2, Fraction(-3, 2)]), min_size=8))
+@settings(max_examples=30, deadline=None)
+def test_evaluate_matches_oracle(a, values):
+    point = dict(zip(WIDE_SYMS, values))
+    assert Poly(a).evaluate(point) == ref_evaluate(a, point)
+
+
+@given(ref_polys(), st.dictionaries(st.sampled_from(WIDE_SYMS), ref_polys(max_terms=3)))
+@settings(max_examples=40, deadline=None)
+def test_substitute_matches_oracle(a, env):
+    got = Poly(a).substitute({s: Poly(image) for s, image in env.items()})
+    check(got, ref_substitute(a, env))
+
+
+PICKLE_SOURCE = """
+from fractions import Fraction
+from hypfield.polyring import Poly, b1, b2, b3, la, w
+
+SYMS = [b2(41), w(43, 45), la(48), b1(47), b3(49)]
+
+
+def build():
+    x = [Poly.symbol(s) for s in SYMS]
+    return (Fraction(3, 7) * x[0] ** 3 * x[2] - Fraction(5, 2) * x[1] * x[3] + 4) * (
+        x[4] - Fraction(1, 3)
+    )
+"""
+
+
+def test_pickle_is_independent_of_registration_order():
+    # the child registers the symbols in the opposite order, so its packed
+    # monomials differ from this process's; the pickle must not carry them
+    ns = {}
+    exec(PICKLE_SOURCE, ns)
+    for s in ns["SYMS"]:
+        Poly.symbol(s)
+    child = PICKLE_SOURCE + (
+        "import pickle, sys\n"
+        "for s in reversed(SYMS):\n"
+        "    Poly.symbol(s)\n"
+        "p = build()\n"
+        "sys.stdout.buffer.write(pickle.dumps((p, sorted(p.terms))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, env=env, timeout=60, check=True
+    )
+    got, child_layout = pickle.loads(proc.stdout)
+    want = ns["build"]()
+    assert child_layout != sorted(want.terms)
+    assert got == want and str(got) == str(want) and hash(got) == hash(want)
+
+
+def test_concurrent_first_use_takes_one_field():
+    # symbols no other test uses, registered by more threads than cores at once
+    syms = [b2(k) for k in range(1001, 1401, 2)]
+    built = []
+    start = threading.Barrier(4)
+
+    def work():
+        start.wait()
+        built.append([Poly.symbol(s) for s in syms])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 4 and all(polys == built[0] for polys in built)
+    assert [str(p) for p in built[0]] == [s.name for s in syms]
 
 
 # --- substitution and evaluation -------------------------------------------
@@ -200,7 +415,7 @@ def test_substitute_empty_env_is_identity():
 def naive_substitute(p, env):
     """Reference: every factor as a repeated product, every term summed as a Poly."""
     total = Poly.zero()
-    for mono, c in p.terms.items():
+    for mono, c in p.sorted_terms():
         term = Poly.const(c)
         for sym, e in mono:
             image = env.get(sym, Poly.symbol(sym))
