@@ -18,6 +18,7 @@ from .curve import LambdaVector, discriminant
 from .exactmath import format_rational, parse_rational
 from .exprlang import ExpressionIndexError, ExpressionSyntaxError, parse
 from .numerics1 import (
+    MAX_SAMPLE_ROWS,
     DegenerateLattice,
     InsufficientSamples,
     LatticeContext,
@@ -289,6 +290,12 @@ def cmd_disc(args) -> int:
 def cmd_numeric(args) -> int:
     if args.genus != 1:
         print("error: numeric validation is genus-1 only", file=sys.stderr)
+        return EXIT_USAGE
+    if args.samples > MAX_SAMPLE_ROWS:
+        print(
+            f"error: {args.samples} samples is above the cap of {MAX_SAMPLE_ROWS}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     rng = random.Random(args.seed)
     worst = 0.0

@@ -7,16 +7,22 @@ relation at (1, 1) against the classical cubic for the derivative.
 Evaluation strategy
 -------------------
 Arguments are first reduced to the Voronoi cell around the origin of a
-Gauss-reduced basis (the functions are periodic, so this is exact).  The
-classical lattice sums are then evaluated with the Taylor part of each
-summand subtracted through a fixed order M and added back via the even
-Eisenstein sums, which turns the slowly decaying truncation tail into one
-of order (|z|/R)^(M+1): far below 1e-12 at 40 shells.  Both parts are
-polynomials built once: the Taylor part T(u) = sum_{k<=M} (k+1) u^k of
-1/(1-u)^2, with u = z/w, and the add-back A(z) = sum over even k of
-(k+1) S_{k+2} z^k.  wp subtracts T(u)/w^2 and adds A(z); wp' and wp'' take
-T', T'' and A', A'' from np.polyder of the same two coefficient arrays.  The
-invariants g2 and g3 themselves come from the rapidly convergent
+Gauss-reduced basis (the functions are periodic, so this is exact), and all
+sums run on the lattice scaled so that the shortest period reduced1 is 1:
+wp^(n)(z) = reduced1^-(n+2) wp^(n)(z/reduced1) on the scaled lattice, so
+no power of a raw period can overflow or underflow.  The classical lattice
+sums are evaluated with the Taylor part of each summand subtracted through
+a fixed order M and added back via the even Eisenstein sums, which turns
+the slowly decaying truncation tail into one of order (|z|/R)^(M+1): far
+below 1e-12 at 40 shells.  The subtracted part regroups per lattice:
+sum_w T(z/w)/w^2 = sum_k (k+1) P_{k+2} z^k with the truncated power sums
+P_j = sum_w w^-j, odd j cancelling because the point set is closed under
+w -> -w.  With the add-back A(z) = sum over even k of (k+1) S_{k+2} z^k,
+S_j the full lattice sums, the correction C(z) = A(z) - sum_w T(z/w)/w^2 is
+one polynomial of degree M, built once per lattice together with C' and
+C''.  A value then costs the direct sums of 1/(z-w)^(n+2) over the points
+and one product of the 3 x (M+1) coefficient matrix with the powers of z.
+The invariants g2 and g3 themselves come from the rapidly convergent
 one-dimensional Fourier series for the normalized Eisenstein sums; a
 truncated two-dimensional lattice sum decays only like 1/shells^2 and could
 never reach the accuracy targets this module promises.
@@ -46,7 +52,8 @@ class InsufficientSamples(ValueError):
     """Fewer sample rows than monomial columns."""
 
 
-MAX_SAMPLE_ROWS = 10_000  # lattices * samples per lattice; one lattice sum per row
+# independence rows (lattices * samples) and numeric samples: one lattice sum each
+MAX_SAMPLE_ROWS = 10_000
 
 
 _TAYLOR_ORDER = 10  # subtraction order M; tail is O((|z|/R)^(M+1))
@@ -100,8 +107,8 @@ def eisenstein(omega1: complex, omega2: complex, cutoff: int = _EISENSTEIN_CUTOF
     return g2, g3
 
 
-# T(u) = sum_{k<=M} (k+1) u^k, highest degree first as np.polyval wants it
-_TAYLOR = np.arange(_TAYLOR_ORDER + 1, 0, -1, dtype=float)
+_POLE = np.array([1.0, -2.0, 6.0])  # d^n/dx^n x^-2 = _POLE[n] x^-(n+2)
+_DEGREES = np.arange(_TAYLOR_ORDER, -1, -1)  # powers of z, highest first
 
 
 def _addback(g2: complex, g3: complex) -> np.ndarray:
@@ -140,12 +147,12 @@ class LatticeContext:
             v1, v2 = gauss_reduce(self.omega1, self.omega2)
             g2, g3 = eisenstein(v1, v2)
             disc = g2 ** 3 - 27.0 * g3 ** 2
-            scale = max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
+            vanishing = abs(disc) < 1e-10 * max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
         except ArithmeticError as exc:  # periods too large or small for floats
             raise DegenerateLattice(
                 f"periods out of floating-point range: {exc}"
             ) from exc
-        if abs(disc) < 1e-10 * scale:
+        if vanishing:
             raise DegenerateLattice("vanishing discriminant")
         object.__setattr__(self, "reduced1", v1)
         object.__setattr__(self, "reduced2", v2)
@@ -158,7 +165,9 @@ class LatticeContext:
     # lattice geometry -----------------------------------------------------
 
     def _points(self) -> np.ndarray:
-        """Nonzero lattice points within the summation radius."""
+        """Nonzero points within the summation radius of the lattice scaled
+        to reduced1 = 1; the first call also builds _wp_all's per-lattice
+        coefficients."""
         cache = self.__dict__["_cache"]
         if "points" not in cache:
             v1, v2 = self.reduced1, self.reduced2
@@ -170,9 +179,29 @@ class LatticeContext:
                 np.arange(-bm, bm + 1), np.arange(-bn, bn + 1), indexing="ij"
             )
             pts = m * v1 + n * v2
-            mask = (np.abs(pts) <= radius) & ((m != 0) | (n != 0))
-            cache["points"] = pts[mask]
-            cache["addback"] = _addback(self.g2, self.g3)
+            # select before scaling: +-SHELLS*v1 lie on the circle of every
+            # lattice, and rounding after scaling moves some across it
+            w = pts[(np.abs(pts) <= radius) & ((m != 0) | (n != 0))] / v1
+            # even power sums P_2, ..., P_{M+2}; the odd ones cancel
+            inv_w2 = 1.0 / (w * w)
+            power = inv_w2
+            sums = []
+            for _ in range(_TAYLOR_ORDER // 2 + 1):
+                sums.append(power.sum())
+                power = power * inv_w2
+            # C = A - sum_w T(z/w)/w^2, highest degree first: (k+1) P_{k+2}
+            # sits at even k, and A belongs to the scaled invariants
+            c = _addback(self.g2 * v1 ** 4, self.g3 * v1 ** 6)
+            c[::2] -= np.arange(_TAYLOR_ORDER + 1, 0, -2) * np.array(sums[::-1])
+            # row n: C^(n) aligned to the powers z^M, ..., z^0, and both
+            # parts of wp^(n) carry the unscaling factor reduced1^-(n+2)
+            unscale = np.array([v1 ** -2, v1 ** -3, v1 ** -4])
+            coeffs = np.zeros((3, _TAYLOR_ORDER + 1), dtype=complex)
+            for n in range(3):
+                coeffs[n, n:] = unscale[n] * np.polyder(c, n)
+            cache["coeffs"] = coeffs
+            cache["pole"] = unscale * _POLE
+            cache["points"] = w
         return cache["points"]
 
     def reduce(self, z: complex) -> complex:
@@ -199,21 +228,14 @@ def _wp_all(ctx: LatticeContext, z: complex):
     if abs(z0) < _POLE_FLOOR * abs(ctx.reduced1):
         raise NearPole(f"z within {_POLE_FLOOR} periods of a lattice point")
     w = ctx._points()
-    taylor, addback = _TAYLOR, ctx.__dict__["_cache"]["addback"]
-    inv_d = 1.0 / (z0 - w)
-    inv_w = 1.0 / w
-    u = z0 * inv_w
-    # n-th z-derivative of 1/(z-w)^2 is pole/(z-w)^(n+2), of T(z/w)/w^2 it
-    # is T^(n)(u)/w^(n+2)
-    pole, d_pow, w_pow = 1.0, inv_d * inv_d, inv_w * inv_w
-    values = []
-    for n in range(3):
-        total = pole / z0 ** (n + 2) + np.sum(pole * d_pow - np.polyval(taylor, u) * w_pow)
-        values.append(complex(total + np.polyval(addback, z0)))
-        pole *= -(n + 2)
-        d_pow, w_pow = d_pow * inv_d, w_pow * inv_w
-        taylor, addback = np.polyder(taylor), np.polyder(addback)
-    return tuple(values)
+    cache = ctx.__dict__["_cache"]
+    u = z0 / ctx.reduced1
+    inv_d = 1.0 / (u - w)
+    d2 = inv_d * inv_d
+    # sum over the origin and the points of 1/(u-w)^(n+2), n = 0, 1, 2
+    direct = [u ** -2 + d2.sum(), u ** -3 + (d2 * inv_d).sum(), u ** -4 + (d2 * d2).sum()]
+    values = cache["pole"] * direct + cache["coeffs"] @ u ** _DEGREES
+    return tuple(complex(v) for v in values)
 
 
 def wp(ctx: LatticeContext, z: complex) -> complex:
@@ -453,7 +475,9 @@ def independence_experiment(
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     norms = np.linalg.norm(a, axis=0)
     b = a / norms
-    _, svals, vh = np.linalg.svd(b, full_matrices=False)
+    # b = QR with Q's columns orthonormal, so the small square R has b's
+    # singular values and right singular vectors (Chan, ACM TOMS 8, 1982)
+    _, svals, vh = np.linalg.svd(np.linalg.qr(b, mode="r"))
     kernel = None
     if single:
         vec = np.conj(vh[-1]) / norms

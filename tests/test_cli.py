@@ -216,6 +216,20 @@ def test_numeric_fixed_lattice(capsys):
     assert code == EXIT_OK
 
 
+def test_numeric_samples_capped_before_sampling(capsys, monkeypatch):
+    import hypfield.cli as cli
+
+    def no_sampling(*args):
+        raise AssertionError("sampled although the samples are above the cap")
+
+    monkeypatch.setattr(cli, "random_sample_point", no_sampling)
+    for samples in ("10001", "1000000000"):
+        code, out, err = run(capsys, "numeric", "--samples", samples)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {samples} samples is above the cap of 10000\n"
+
+
 def test_numeric_genus_restriction(capsys):
     code, _, err = run(capsys, "numeric", "--genus", "2")
     assert code == EXIT_USAGE
@@ -284,6 +298,8 @@ def test_version_flag():
         ["independence", "--tol", "5"],
         ["independence", "--tol", "1"],
         ["independence", "--tol", "nan"],
+        # |disc| overflows although g2 and g3 are finite
+        ["numeric", "--lattice=7.244359600749891e-26,0,2.1733078802249675e-26,7.968795560824881e-26"],
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

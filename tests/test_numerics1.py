@@ -180,6 +180,85 @@ def test_values_match_theta_function_oracle():
                     assert abs(value - want) < 1e-11 * abs(want), (n, z)
 
 
+def reference_points(ctx):
+    """Nonzero points of the unscaled lattice within the summation radius."""
+    shells = numerics1._SHELLS
+    v1, v2 = ctx.reduced1, ctx.reduced2
+    area = abs((v1.conjugate() * v2).imag)
+    bm = int(shells * abs(v1) * abs(v2) / area) + 2
+    bn = int(shells * abs(v1) ** 2 / area) + 2
+    m, n = np.meshgrid(np.arange(-bm, bm + 1), np.arange(-bn, bn + 1), indexing="ij")
+    pts = m * v1 + n * v2
+    return pts[(np.abs(pts) <= shells * abs(v1)) & ((m != 0) | (n != 0))]
+
+
+def reference_wp_all(ctx, z):
+    """(wp, wp', wp'') by per-point subtracted sums on the unscaled lattice:
+    every summand 1/(z-w)^2 minus its Taylor part T(z/w)/w^2 through order M,
+    plus the add-back A(z), with the derivatives from np.polyder of T and A."""
+    order = numerics1._TAYLOR_ORDER
+    w = reference_points(ctx)
+    z0 = ctx.reduce(complex(z))
+    taylor = np.arange(order + 1, 0, -1, dtype=float)  # T(u) = sum (k+1) u^k
+    addback = numerics1._addback(ctx.g2, ctx.g3)
+    u = z0 / w
+    values = []
+    for k, pole in enumerate((1.0, -2.0, 6.0)):
+        total = pole / z0 ** (k + 2) + np.sum(
+            pole / (z0 - w) ** (k + 2) - np.polyval(taylor, u) / w ** (k + 2)
+        )
+        values.append(complex(total + np.polyval(addback, z0)))
+        taylor, addback = np.polyder(taylor), np.polyder(addback)
+    return tuple(values)
+
+
+def test_regrouped_sums_match_the_per_point_subtraction():
+    rng = random.Random(31)
+    for _ in range(10):
+        ctx = random_lattice(rng)
+        for _ in range(3):
+            z = random_sample_point(ctx, rng)
+            for got, want in zip(numerics1._wp_all(ctx, z), reference_wp_all(ctx, z)):
+                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def test_points_are_the_unscaled_selection():
+    # +-SHELLS*v1 lie on the summation circle of every lattice, so whether
+    # they are summed is decided by rounding; it must be the unscaled test's
+    rng = random.Random(41)
+    for _ in range(300):
+        ctx = random_lattice(rng)
+        assert len(ctx._points()) == len(reference_points(ctx))
+
+
+@pytest.mark.parametrize(
+    "omega2", [1j, cmath.exp(1j * math.pi / 3), complex(0.25, 1.15), complex(-0.41, 1.7)]
+)
+def test_points_are_closed_under_negation(omega2):
+    # the odd power sums are dropped, so w -> -w must map the set to itself
+    # exactly, not only to rounding
+    pts = LatticeContext(1.3, 1.3 * omega2)._points()
+    assert set(pts.tolist()) == set((-pts).tolist())
+    assert len(set(pts.tolist())) == len(pts)
+
+
+def test_scale_sweep_keeps_the_accepted_range():
+    # lattice (s, s(0.3+1.1i)): the per-point subtracted sums accepted and
+    # passed every log10 s from -25.1 to 26.3 in steps of 0.1 and rejected
+    # -25.4 to -25.2 and 26.4 to 26.6 as degenerate
+    for tenths in range(-254, 267):
+        s = 10.0 ** (tenths / 10)
+        if not -251 <= tenths <= 263:
+            with pytest.raises(DegenerateLattice):
+                LatticeContext(s, s * complex(0.3, 1.1))
+            continue
+        ctx = LatticeContext(s, s * complex(0.3, 1.1))
+        rng = random.Random(0)
+        for _ in range(3):
+            rep = identity_residuals(ctx, random_sample_point(ctx, rng))
+            assert rep.max_scaled < 1e-8, (tenths, rep)
+
+
 def test_near_pole_raises():
     with pytest.raises(NearPole):
         wp(CTX, 1e-4 + 1e-4j)
@@ -283,6 +362,37 @@ def test_single_lattice_control_finds_the_cubic():
     for mono in report.monomials:
         want = expected.get(mono, 0.0)
         assert abs(got[mono] / pivot - want) < 1e-5 * scale
+
+
+@pytest.mark.parametrize("lattices, samples, bound", [(12, 60, 8), (1, 60, 6)])
+def test_svd_of_r_matches_the_direct_svd(monkeypatch, lattices, samples, bound):
+    # the experiment takes the SVD of R from b = QR; capture b and the
+    # right singular vectors and compare with the SVD of b itself
+    seen = {}
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def capture_qr(b, *args, **kwargs):
+        seen["b"] = b
+        return qr(b, *args, **kwargs)
+
+    def capture_svd(r, *args, **kwargs):
+        out = svd(r, *args, **kwargs)
+        seen["vh"] = out[2]
+        return out
+
+    monkeypatch.setattr(np.linalg, "qr", capture_qr)
+    monkeypatch.setattr(np.linalg, "svd", capture_svd)
+    report = independence_experiment(lattices, samples, bound, seed=7)
+    monkeypatch.undo()
+    b = seen["b"]
+    assert b.shape == (report.n_rows, report.n_cols)
+    direct = np.linalg.svd(b, compute_uv=False)
+    got = np.array(report.singular_values)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
+    assert (report.kernel is None) == (lattices > 1)
+    if report.kernel is not None:
+        v = np.conj(seen["vh"][-1])
+        assert np.linalg.norm(b @ v) <= 1e-10
 
 
 def test_insufficient_samples_raises():
