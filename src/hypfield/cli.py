@@ -8,6 +8,7 @@ failure.  All commands are deterministic given their flags and seed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import random
 import sys
@@ -17,16 +18,6 @@ from . import __version__
 from .curve import LambdaVector, discriminant
 from .exactmath import format_rational, parse_rational
 from .exprlang import ExpressionIndexError, ExpressionSyntaxError, parse
-from .numerics1 import (
-    MAX_SAMPLE_ROWS,
-    DegenerateLattice,
-    InsufficientSamples,
-    LatticeContext,
-    identity_residuals,
-    independence_experiment,
-    random_lattice,
-    random_sample_point,
-)
 from .polyring import ExponentOverflow, Poly
 from .relations import GenusContext
 from .rewriter import (
@@ -44,6 +35,21 @@ from .variety import (
     random_rational_point,
     uniformize_check,
 )
+
+# numerics1 imports numpy, which takes most of a process's start-up; only
+# numeric and independence use it.  The module is registered in sys.modules
+# (and on the package) now but runs on its first attribute access, so the
+# exact subcommands never import numpy.  A copy already imported is reused,
+# so there is only ever one set of its exception classes.
+_NUMERICS1 = __package__ + ".numerics1"
+numerics1 = sys.modules.get(_NUMERICS1)
+if numerics1 is None:
+    _spec = importlib.util.find_spec(_NUMERICS1)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    numerics1 = importlib.util.module_from_spec(_spec)
+    sys.modules[_NUMERICS1] = numerics1
+    _spec.loader.exec_module(numerics1)
+    setattr(sys.modules[__package__], "numerics1", numerics1)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,7 +100,7 @@ def _parse_lambda_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
 
 
-def _lattice_arg(text: str) -> LatticeContext:
+def _lattice_arg(text: str) -> numerics1.LatticeContext:
     try:
         parts = [float(part) for part in text.split(",")]
     except ValueError:
@@ -104,8 +110,10 @@ def _lattice_arg(text: str) -> LatticeContext:
             f"--lattice needs four finite numbers re1,im1,re2,im2, got {text!r}"
         )
     try:
-        return LatticeContext(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    except DegenerateLattice as exc:
+        return numerics1.LatticeContext(
+            complex(parts[0], parts[1]), complex(parts[2], parts[3])
+        )
+    except numerics1.DegenerateLattice as exc:
         raise argparse.ArgumentTypeError(f"unusable lattice {text!r}: {exc}")
 
 
@@ -291,18 +299,18 @@ def cmd_numeric(args) -> int:
     if args.genus != 1:
         print("error: numeric validation is genus-1 only", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples > MAX_SAMPLE_ROWS:
+    if args.samples > numerics1.MAX_SAMPLE_ROWS:
         print(
-            f"error: {args.samples} samples is above the cap of {MAX_SAMPLE_ROWS}",
+            f"error: {args.samples} samples is above the cap of {numerics1.MAX_SAMPLE_ROWS}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):
-        ctx = args.lattice if args.lattice is not None else random_lattice(rng)
-        z = random_sample_point(ctx, rng)
-        report = identity_residuals(ctx, z)
+        ctx = args.lattice if args.lattice is not None else numerics1.random_lattice(rng)
+        z = numerics1.random_sample_point(ctx, rng)
+        report = numerics1.identity_residuals(ctx, z)
         worst = max(worst, report.max_scaled)
     print(f"samples: {args.samples}; max scaled residual: {worst:.3e}; tol: {args.tol:.1e}")
     if worst >= args.tol:
@@ -313,17 +321,22 @@ def cmd_numeric(args) -> int:
 
 
 def cmd_independence(args) -> int:
+    # both experiments run before anything is printed, so a usage error in
+    # the single-lattice control leaves stdout empty
     try:
-        report = independence_experiment(
+        report = numerics1.independence_experiment(
             args.lattices, args.samples, args.weight_bound, args.seed, args.tol
         )
-    except (InsufficientSamples, ValueError) as exc:
+        if args.lattices > 1:
+            control = numerics1.independence_experiment(
+                1, args.samples, 6, args.seed, args.tol
+            )
+    except (numerics1.InsufficientSamples, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for line in report.lines():
         print(line)
     if args.lattices > 1:
-        control = independence_experiment(1, args.samples, 6, args.seed, args.tol)
         print("single-lattice control:")
         for line in control.lines():
             print(line)

@@ -217,12 +217,10 @@ def test_numeric_fixed_lattice(capsys):
 
 
 def test_numeric_samples_capped_before_sampling(capsys, monkeypatch):
-    import hypfield.cli as cli
-
     def no_sampling(*args):
         raise AssertionError("sampled although the samples are above the cap")
 
-    monkeypatch.setattr(cli, "random_sample_point", no_sampling)
+    monkeypatch.setattr("hypfield.numerics1.random_sample_point", no_sampling)
     for samples in ("10001", "1000000000"):
         code, out, err = run(capsys, "numeric", "--samples", samples)
         assert code == EXIT_USAGE
@@ -248,6 +246,15 @@ def test_independence_with_control(capsys):
     assert "kernel:" in out
 
 
+def test_independence_control_too_small_is_a_usage_error(capsys):
+    # 30 rows cover the main run's 15 columns, but the single-lattice
+    # control has 5 rows for its 7 columns; nothing may be printed first
+    code, out, err = run(capsys, "independence", "--samples", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: 5 rows < columns: more than 5 monomials of weight <= 6\n"
+
+
 def test_independence_too_many_columns_exits_fast():
     # weight <= 400 has far more monomials than the 240 default samples; the
     # column count must stop early, before any sampling or matrix is built.
@@ -260,6 +267,46 @@ def test_independence_too_many_columns_exits_fast():
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error: 240 rows < columns")
     assert "Traceback" not in proc.stderr
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+import hypfield.cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = hypfield.cli.main(argv.split())
+        except SystemExit as exc:  # --version
+            code = exc.code
+    assert code == 0, (argv, code)
+print("numpy" in sys.modules)
+"""
+
+
+def startup_probe(*argvs):
+    """Run ``argvs`` through ``main`` in one fresh process; was numpy imported?"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argvs],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout == "True\n"
+
+
+def test_exact_subcommands_never_import_numpy():
+    assert not startup_probe(
+        "table --genus 2",
+        "verify --genus 2",
+        "reduce --genus 2 p[1,1]*p[1,3]",
+        "rank --genus 2 --samples 2",
+        "disc --genus 2 --lambda 1,2,3,4",
+        "--version",
+    )
+
+
+def test_numeric_imports_numpy():
+    assert startup_probe("numeric --samples 2")
 
 
 def test_usage_errors_from_argparse():
