@@ -36,20 +36,25 @@ from .variety import (
     uniformize_check,
 )
 
-# numerics1 imports numpy, which takes most of a process's start-up; only
-# numeric and independence use it.  The module is registered in sys.modules
-# (and on the package) now but runs on its first attribute access, so the
-# exact subcommands never import numpy.  A copy already imported is reused,
-# so there is only ever one set of its exception classes.
-_NUMERICS1 = __package__ + ".numerics1"
-numerics1 = sys.modules.get(_NUMERICS1)
-if numerics1 is None:
-    _spec = importlib.util.find_spec(_NUMERICS1)
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    numerics1 = importlib.util.module_from_spec(_spec)
-    sys.modules[_NUMERICS1] = numerics1
-    _spec.loader.exec_module(numerics1)
-    setattr(sys.modules[__package__], "numerics1", numerics1)
+# weierstrass (genus-1 functions) and numerics1 (the rank experiment, which
+# imports numpy) are registered in sys.modules and on the package now but
+# run on their first attribute access, so the exact subcommands execute
+# neither and only independence imports numpy.  A copy already imported is
+# reused, so there is only ever one set of their exception classes.
+def _lazy_module(name: str):
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+weierstrass, numerics1 = map(_lazy_module, ("weierstrass", "numerics1"))
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,7 +105,7 @@ def _parse_lambda_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
 
 
-def _lattice_arg(text: str) -> numerics1.LatticeContext:
+def _lattice_arg(text: str) -> weierstrass.LatticeContext:
     try:
         parts = [float(part) for part in text.split(",")]
     except ValueError:
@@ -110,10 +115,10 @@ def _lattice_arg(text: str) -> numerics1.LatticeContext:
             f"--lattice needs four finite numbers re1,im1,re2,im2, got {text!r}"
         )
     try:
-        return numerics1.LatticeContext(
+        return weierstrass.LatticeContext(
             complex(parts[0], parts[1]), complex(parts[2], parts[3])
         )
-    except numerics1.DegenerateLattice as exc:
+    except weierstrass.DegenerateLattice as exc:
         raise argparse.ArgumentTypeError(f"unusable lattice {text!r}: {exc}")
 
 
@@ -299,18 +304,18 @@ def cmd_numeric(args) -> int:
     if args.genus != 1:
         print("error: numeric validation is genus-1 only", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples > numerics1.MAX_SAMPLE_ROWS:
+    if args.samples > weierstrass.MAX_SAMPLE_ROWS:
         print(
-            f"error: {args.samples} samples is above the cap of {numerics1.MAX_SAMPLE_ROWS}",
+            f"error: {args.samples} samples is above the cap of {weierstrass.MAX_SAMPLE_ROWS}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):
-        ctx = args.lattice if args.lattice is not None else numerics1.random_lattice(rng)
-        z = numerics1.random_sample_point(ctx, rng)
-        report = numerics1.identity_residuals(ctx, z)
+        ctx = args.lattice if args.lattice is not None else weierstrass.random_lattice(rng)
+        z = weierstrass.random_sample_point(ctx, rng)
+        report = weierstrass.identity_residuals(ctx, z)
         worst = max(worst, report.max_scaled)
     print(f"samples: {args.samples}; max scaled residual: {worst:.3e}; tol: {args.tol:.1e}")
     if worst >= args.tol:

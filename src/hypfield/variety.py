@@ -131,11 +131,6 @@ def p_eval(pm: PMap, point: Sequence) -> list:
     return [comp.evaluate(env) for _, comp in pm.components]
 
 
-def p_jacobian(pm: PMap) -> tuple:
-    """Symbolic 2g x 3g matrix of partial derivatives, derived by ``p_map``."""
-    return pm.jacobian
-
-
 def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
     """Exact rank of the Jacobian of the parameter map at a rational point."""
     env = _point_env(pm, point)

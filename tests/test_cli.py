@@ -220,7 +220,7 @@ def test_numeric_samples_capped_before_sampling(capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled although the samples are above the cap")
 
-    monkeypatch.setattr("hypfield.numerics1.random_sample_point", no_sampling)
+    monkeypatch.setattr("hypfield.weierstrass.random_sample_point", no_sampling)
     for samples in ("10001", "1000000000"):
         code, out, err = run(capsys, "numeric", "--samples", samples)
         assert code == EXIT_USAGE
@@ -270,32 +270,39 @@ def test_independence_too_many_columns_exits_fast():
 
 
 STARTUP_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys, types
 import hypfield.cli
+out = io.StringIO()
 for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(out):
         try:
             code = hypfield.cli.main(argv.split())
         except SystemExit as exc:  # --version
             code = exc.code
     assert code == 0, (argv, code)
-print("numpy" in sys.modules)
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    # a lazily loaded module turns into a plain module once it has run
+    "weierstrass": type(sys.modules["hypfield.weierstrass"]) is types.ModuleType,
+    "out": out.getvalue(),
+}))
 """
 
 
 def startup_probe(*argvs):
-    """Run ``argvs`` through ``main`` in one fresh process; was numpy imported?"""
+    """Run ``argvs`` through ``main`` in one fresh process; report whether
+    numpy was imported, whether weierstrass ran, and the joined stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, *argvs],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout == "True\n"
+    return json.loads(proc.stdout)
 
 
 def test_exact_subcommands_never_import_numpy():
-    assert not startup_probe(
+    probe = startup_probe(
         "table --genus 2",
         "verify --genus 2",
         "reduce --genus 2 p[1,1]*p[1,3]",
@@ -303,10 +310,26 @@ def test_exact_subcommands_never_import_numpy():
         "disc --genus 2 --lambda 1,2,3,4",
         "--version",
     )
+    assert not probe["numpy"]
+    assert not probe["weierstrass"]
 
 
-def test_numeric_imports_numpy():
-    assert startup_probe("numeric --samples 2")
+@pytest.mark.parametrize(
+    "argv", ["numeric --samples 3", "numeric --lattice 1,0,0.3,1.1 --samples 2"]
+)
+def test_numeric_never_imports_numpy(argv):
+    probe = startup_probe(argv)
+    assert not probe["numpy"]
+    assert probe["out"].endswith("PASS\n")
+
+
+def test_independence_imports_numpy():
+    # two lattices would leave their shared relations in the kernel; three
+    # at weight <= 6 are full rank and the control finds the cubic
+    probe = startup_probe("independence --lattices 3 --samples 30 --weight-bound 6")
+    assert probe["numpy"]
+    assert probe["out"].splitlines()[4] == "verdict: FULL RANK"
+    assert "verdict: DEFICIENCY 1" in probe["out"]
 
 
 def test_usage_errors_from_argparse():

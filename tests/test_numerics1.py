@@ -1,11 +1,13 @@
-"""Weierstrass numerics: lattice reduction, invariants, function values,
-identity residuals, and the monomial rank experiment.
+"""Genus-1 numerics: lattice reduction, invariants, function values and
+identity residuals (``weierstrass``), and the monomial rank experiment
+(``numerics1``).
 
 Oracles: basis-change invariance and scaling laws for the invariants,
 symmetry zeros on the square and hexagonal lattices, parity/periodicity of
 the functions themselves, the classical cubic as the expected kernel of
-the single-lattice experiment, and an mpmath theta-function evaluation of
-wp, wp', wp'', g2 and g3 that shares nothing with the lattice sums.
+the single-lattice experiment, an mpmath theta-function evaluation of wp,
+wp', wp'', g2 and g3, and a per-point subtracted lattice sum kept in this
+file; neither shares anything with the q-series that ``weierstrass`` sums.
 """
 
 import cmath
@@ -15,18 +17,19 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypfield import numerics1
-from hypfield.numerics1 import (
+from hypfield.numerics1 import InsufficientSamples, _monomials, independence_experiment
+from hypfield.weierstrass import (
     DegenerateLattice,
-    InsufficientSamples,
     LatticeContext,
     NearPole,
-    _monomials,
+    _wp_all,
     eisenstein,
     gauss_reduce,
     identity_residuals,
-    independence_experiment,
     random_lattice,
     random_sample_point,
     wp,
@@ -180,27 +183,56 @@ def test_values_match_theta_function_oracle():
                     assert abs(value - want) < 1e-11 * abs(want), (n, z)
 
 
-def reference_points(ctx):
-    """Nonzero points of the unscaled lattice within the summation radius."""
-    shells = numerics1._SHELLS
-    v1, v2 = ctx.reduced1, ctx.reduced2
-    area = abs((v1.conjugate() * v2).imag)
-    bm = int(shells * abs(v1) * abs(v2) / area) + 2
-    bn = int(shells * abs(v1) ** 2 / area) + 2
-    m, n = np.meshgrid(np.arange(-bm, bm + 1), np.arange(-bn, bn + 1), indexing="ij")
-    pts = m * v1 + n * v2
-    return pts[(np.abs(pts) <= shells * abs(v1)) & ((m != 0) | (n != 0))]
+def test_values_on_tall_lattices_match_theta_function_oracle():
+    # Im(tau) in [2.5, 3.5] is accepted by --lattice; there a truncated
+    # lattice sum misses the oracle by up to 1e-9 relative on wp' and wp''
+    rng = random.Random(29)
+    with mpmath.workdps(30):
+        for _ in range(4):
+            s = 10.0 ** rng.uniform(-3, 3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            ctx = LatticeContext(s, s * complex(rng.uniform(-0.5, 0.5), rng.uniform(2.5, 3.5)))
+            wp_theta, _ = theta_oracle(ctx.omega1, ctx.omega2)
+            for _ in range(3):
+                z = random_sample_point(ctx, rng)
+                for n, value in enumerate(_wp_all(ctx, z)):
+                    want = complex(mpmath.diff(wp_theta, mpmath.mpc(z), n))
+                    assert abs(value - want) < 1e-12 * abs(want), (n, z)
+
+
+ORACLE_SHELLS = 40  # summation radius, in shortest periods
+ORACLE_ORDER = 10  # Taylor order subtracted from each summand
+
+
+def laurent_coefficients(g2, g3):
+    """c[n] with wp(z) = 1/z^2 + sum over n >= 2 of c[n] z^(2n-2), by the
+    classical recursion (DLMF 23.9.7)."""
+    c = {2: g2 / 20.0, 3: g3 / 28.0}
+    for n in range(4, ORACLE_ORDER // 2 + 2):
+        c[n] = 3.0 * sum(c[m] * c[n - m] for m in range(2, n - 1)) / ((2 * n + 1) * (n - 3))
+    return c
 
 
 def reference_wp_all(ctx, z):
-    """(wp, wp', wp'') by per-point subtracted sums on the unscaled lattice:
-    every summand 1/(z-w)^2 minus its Taylor part T(z/w)/w^2 through order M,
-    plus the add-back A(z), with the derivatives from np.polyder of T and A."""
-    order = numerics1._TAYLOR_ORDER
-    w = reference_points(ctx)
+    """(wp, wp', wp'') by per-point subtracted sums over the lattice points
+    within ORACLE_SHELLS shortest periods: every summand 1/(z-w)^2 minus its
+    Taylor part T(z/w)/w^2 through ORACLE_ORDER, T(u) = sum (k+1) u^k, plus
+    the add-back A(z) = wp(z) - 1/z^2 through that order; the derivatives
+    come from np.polyder of T and A."""
+    v1, v2 = ctx.reduced1, ctx.reduced2
+    area = abs((v1.conjugate() * v2).imag)
+    radius = ORACLE_SHELLS * abs(v1)
+    bm = int(radius * abs(v2) / area) + 2
+    bn = int(radius * abs(v1) / area) + 2
+    m, n = np.meshgrid(np.arange(-bm, bm + 1), np.arange(-bn, bn + 1), indexing="ij")
+    pts = m * v1 + n * v2
+    w = pts[(np.abs(pts) <= radius) & ((m != 0) | (n != 0))]
     z0 = ctx.reduce(complex(z))
-    taylor = np.arange(order + 1, 0, -1, dtype=float)  # T(u) = sum (k+1) u^k
-    addback = numerics1._addback(ctx.g2, ctx.g3)
+    c = laurent_coefficients(ctx.g2, ctx.g3)
+    taylor = np.arange(ORACLE_ORDER + 1, 0, -1, dtype=float)  # highest degree first
+    addback = np.array(
+        [0 if k % 2 else c.get(k // 2 + 1, 0) for k in range(ORACLE_ORDER, -1, -1)],
+        dtype=complex,
+    )
     u = z0 / w
     values = []
     for k, pole in enumerate((1.0, -2.0, 6.0)):
@@ -212,34 +244,68 @@ def reference_wp_all(ctx, z):
     return tuple(values)
 
 
-def test_regrouped_sums_match_the_per_point_subtraction():
+def test_q_series_matches_the_per_point_subtraction():
     rng = random.Random(31)
     for _ in range(10):
         ctx = random_lattice(rng)
         for _ in range(3):
             z = random_sample_point(ctx, rng)
-            for got, want in zip(numerics1._wp_all(ctx, z), reference_wp_all(ctx, z)):
+            for got, want in zip(_wp_all(ctx, z), reference_wp_all(ctx, z)):
                 assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
-def test_points_are_the_unscaled_selection():
-    # +-SHELLS*v1 lie on the summation circle of every lattice, so whether
-    # they are summed is decided by rounding; it must be the unscaled test's
+def test_points_are_the_nome_powers():
+    # _points() holds q, ..., q^N for q = exp(2 pi i tau); the first power
+    # left out is below 1e-24 for every reduced tau, |q| <= exp(-pi sqrt 3)
     rng = random.Random(41)
     for _ in range(300):
         ctx = random_lattice(rng)
-        assert len(ctx._points()) == len(reference_points(ctx))
+        q = cmath.exp(2j * math.pi * ctx.reduced2 / ctx.reduced1)
+        pts = ctx._points()
+        assert len(pts) == 10
+        for n, qn in enumerate(pts, 1):
+            assert abs(qn - q ** n) <= 1e-13 * abs(q) ** n
+    assert math.exp(-math.pi * math.sqrt(3)) ** (len(pts) + 1 - 2 / 3) < 1e-24
 
 
 @pytest.mark.parametrize(
     "omega2", [1j, cmath.exp(1j * math.pi / 3), complex(0.25, 1.15), complex(-0.41, 1.7)]
 )
-def test_points_are_closed_under_negation(omega2):
-    # the odd power sums are dropped, so w -> -w must map the set to itself
-    # exactly, not only to rounding
-    pts = LatticeContext(1.3, 1.3 * omega2)._points()
-    assert set(pts.tolist()) == set((-pts).tolist())
-    assert len(set(pts.tolist())) == len(pts)
+def test_series_is_symmetric_under_negation(omega2):
+    # z -> -z swaps the terms at q^n u and q^n/u: wp and wp'' are even and
+    # wp' is odd to rounding, including at the half periods
+    ctx = LatticeContext(1.3, 1.3 * omega2)
+    v1, v2 = ctx.reduced1, ctx.reduced2
+    points = [v1 / 2, v2 / 2, (v1 + v2) / 2, 0.3 * v1 + 0.1 * v2, -0.2 * v1 + 0.45 * v2]
+    for z in points:
+        for k, (a, b) in enumerate(zip(_wp_all(ctx, z), _wp_all(ctx, -z))):
+            unit = abs(v1) ** -(k + 2)
+            assert abs(a - (-1) ** k * b) <= 1e-14 * max(abs(a), unit), (k, z)
+
+
+# the discriminant check rejects Im(tau) above about 4.85 (1728 |q| < 1e-10)
+@settings(max_examples=200, deadline=None)
+@given(
+    log_scale=st.floats(-3, 3),
+    angle=st.floats(0, 2 * math.pi),
+    x=st.floats(-0.5, 0.5),
+    y=st.floats(0, 4.8),
+    a=st.floats(-0.5, 0.5),
+    b=st.floats(-0.5, 0.5),
+)
+def test_identities_and_parity_across_the_reduced_domain(log_scale, angle, x, y, a, b):
+    tau = complex(x, max(y, math.sqrt(1 - x * x)))  # |tau| >= 1, |Re tau| <= 1/2
+    s = 10.0 ** log_scale * cmath.exp(1j * angle)
+    try:
+        ctx = LatticeContext(s, s * tau)
+    except DegenerateLattice:
+        assume(False)
+    z = a * ctx.reduced1 + b * ctx.reduced2
+    assume(ctx.lattice_distance(z) > 0.05 * (1 + 1e-9) * abs(ctx.reduced1))
+    assert identity_residuals(ctx, z).max_scaled < 1e-12
+    for k, (p, m) in enumerate(zip(_wp_all(ctx, z), _wp_all(ctx, -z))):
+        unit = abs(ctx.reduced1) ** -(k + 2)
+        assert abs(p - (-1) ** k * m) <= 1e-12 * max(abs(p), unit), k
 
 
 def test_scale_sweep_keeps_the_accepted_range():
@@ -272,6 +338,9 @@ def test_identity_residuals_machine_precision():
         z = random_sample_point(CTX, rng)
         rep = identity_residuals(CTX, z)
         assert rep.max_scaled < 1e-12
+    # wp, wp' and lambda6 all vanish at the square lattice's half period
+    # (1+i)/2; the lattice's own size keeps the scaled residual at rounding
+    assert identity_residuals(LatticeContext(1.0, 1j), 0.5 + 0.5j).max_scaled < 1e-12
 
 
 def test_identity_residuals_reject_wrong_parameters():

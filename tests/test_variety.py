@@ -14,7 +14,6 @@ from hypfield.variety import (
     equation_count,
     generator_symbols,
     p_eval,
-    p_jacobian,
     p_jacobian_rank,
     p_map,
     random_rational_point,
@@ -93,7 +92,7 @@ def test_p_eval_point_length_checked():
 
 def test_jacobian_shape_and_entries():
     pm = p_map(table(1))
-    jac = p_jacobian(pm)
+    jac = pm.jacobian
     assert len(jac) == 2 and len(jac[0]) == 3
     # d la4 / d b3_1 = 1/2, d la4 / d b2_1 = 0
     assert jac[0][2] == Poly.const(Fraction(1, 2))
