@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .curve import LambdaVector, discriminant
-from .exactmath import format_rational, parse_rational
-from .exprlang import ExpressionIndexError, ExpressionSyntaxError, parse
+from .exprlang import parse
 from .polyring import ExponentOverflow, Poly
 from .relations import GenusContext
 from .rewriter import (
@@ -61,6 +60,29 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
+# How a command's exception ends it: the first row whose class matches gives
+# the exit code and the text after "error: ".  Every input error the package
+# raises subclasses ValueError, as does Python's limit on int <-> str
+# conversion of more than 4300 digits.  Anything else is a bug and propagates.
+_OUT_OF_SCOPE = "closure under further differentiation is out of scope"
+_EXITS = (
+    (DivisionByZeroPoly, EXIT_NUMERIC, str),
+    (InternalInconsistency, EXIT_VERIFY, str),
+    (ExponentOverflow, EXIT_USAGE, str),
+    # the parser and the reducer recurse once per nesting level
+    (RecursionError, EXIT_USAGE, lambda exc: "expression nested too deeply"),
+    (UnsupportedSymbol, EXIT_USAGE, lambda exc: f"{exc}\nhint: {_OUT_OF_SCOPE}"),
+    (ValueError, EXIT_USAGE, str),
+)
+_FAILURES = tuple(cls for cls, _, _ in _EXITS)
+
+
+def _report(exc: Exception) -> int:
+    """Print ``exc`` under the ``error:`` prefix and return its exit code."""
+    code, text = next((code, text) for cls, code, text in _EXITS if isinstance(exc, cls))
+    print(f"error: {text(exc)}", file=sys.stderr)
+    return code
+
 
 def _positive_int(name: str):
     """An argparse type accepting integers >= 1, naming ``name`` on error."""
@@ -100,7 +122,7 @@ def _tolerance(upper: float):
 
 def _parse_lambda_list(text: str) -> list:
     try:
-        return [parse_rational(part) for part in text.split(",")]
+        return [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
 
@@ -193,11 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_table(args) -> int:
-    try:
-        table = build_table(GenusContext(args.genus))
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    table = build_table(GenusContext(args.genus))
     if args.format == "tree":
         sys.stdout.write(table.tree_text())
     else:
@@ -222,44 +240,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _reduce_one(ctx, table, text: str) -> int:
-    try:
-        expr = parse(text, ctx)
-        num, den = reduce_expr(ctx, table, expr)
-    except (ExpressionSyntaxError, ExpressionIndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnsupportedSymbol as exc:
-        print(
-            f"error: {exc}\nhint: closure under further differentiation is out of scope",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    except DivisionByZeroPoly as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RecursionError:  # the parser and the reducer recurse once per nesting level
-        print("error: expression nested too deeply", file=sys.stderr)
-        return EXIT_USAGE
-    except ExponentOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(format_fraction(num, den))
-    return EXIT_OK
+def _reduce_one(ctx, table, text: str) -> None:
+    print(format_fraction(*reduce_expr(ctx, table, parse(text, ctx))))
 
 
 def cmd_reduce(args) -> int:
     ctx = GenusContext(args.genus)
     table = build_table(ctx)
     if args.expression is not None:
-        return _reduce_one(ctx, table, args.expression)
+        _reduce_one(ctx, table, args.expression)
+        return EXIT_OK
+    # a bad line is reported and the batch goes on; the first failure's
+    # exit code is the batch's
     status = EXIT_OK
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
-        rc = _reduce_one(ctx, table, line)
-        status = status or rc
+        try:
+            _reduce_one(ctx, table, line)
+        except _FAILURES as exc:
+            code = _report(exc)
+            status = status or code
     return status
 
 
@@ -268,12 +270,9 @@ def cmd_rank(args) -> int:
     table = build_table(ctx)
     pm = p_map(table)
     if args.point is not None:
-        if len(args.point) != 3 * args.genus:
-            print(f"error: --point needs {3 * args.genus} coordinates", file=sys.stderr)
-            return EXIT_USAGE
         rank = p_jacobian_rank(pm, args.point)
         values = p_eval(pm, args.point)
-        print("lambda = " + ",".join(format_rational(v) for v in values))
+        print("lambda = " + ",".join(map(str, values)))
         print(f"rank {rank}")
         return EXIT_OK
     rng = random.Random(args.seed)
@@ -289,27 +288,19 @@ def cmd_rank(args) -> int:
 
 
 def cmd_disc(args) -> int:
-    try:
-        lv = LambdaVector.from_sequence(args.genus, args.lambda_values)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    d = discriminant(lv)
+    d = discriminant(LambdaVector.from_sequence(args.genus, args.lambda_values))
     membership = "IN" if d == 0 else "NOT IN"  # in_sigma's test, on d already computed
-    print(f"disc = {format_rational(d)}; lambda {membership} Sigma_g")
+    print(f"disc = {d}; lambda {membership} Sigma_g")
     return EXIT_OK
 
 
 def cmd_numeric(args) -> int:
     if args.genus != 1:
-        print("error: numeric validation is genus-1 only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("numeric validation is genus-1 only")
     if args.samples > weierstrass.MAX_SAMPLE_ROWS:
-        print(
-            f"error: {args.samples} samples is above the cap of {weierstrass.MAX_SAMPLE_ROWS}",
-            file=sys.stderr,
+        raise ValueError(
+            f"{args.samples} samples is above the cap of {weierstrass.MAX_SAMPLE_ROWS}"
         )
-        return EXIT_USAGE
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):
@@ -328,17 +319,11 @@ def cmd_numeric(args) -> int:
 def cmd_independence(args) -> int:
     # both experiments run before anything is printed, so a usage error in
     # the single-lattice control leaves stdout empty
-    try:
-        report = numerics1.independence_experiment(
-            args.lattices, args.samples, args.weight_bound, args.seed, args.tol
-        )
-        if args.lattices > 1:
-            control = numerics1.independence_experiment(
-                1, args.samples, 6, args.seed, args.tol
-            )
-    except (numerics1.InsufficientSamples, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = numerics1.independence_experiment(
+        args.lattices, args.samples, args.weight_bound, args.seed, args.tol
+    )
+    if args.lattices > 1:
+        control = numerics1.independence_experiment(1, args.samples, 6, args.seed, args.tol)
     for line in report.lines():
         print(line)
     if args.lattices > 1:
@@ -363,9 +348,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _DISPATCH[args.command](args)
+    args = build_parser().parse_args(argv)
+    try:
+        return _DISPATCH[args.command](args)
+    except _FAILURES as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -19,26 +19,9 @@ from math import lcm
 from typing import Sequence
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def format_rational(q: Fraction) -> str:
-    """``num/den`` in lowest terms, ``n`` when the denominator is 1."""
-    q = as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
-    """Clear denominators row by row.
+    """Clear denominators row by row; entries are ints or Fractions, which
+    both carry a numerator and a denominator.
 
     Returns the integer rows and the product of the row multipliers: row
     scaling keeps the rank and multiplies the determinant by that product.
@@ -49,10 +32,9 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged rows")
-        row = [as_fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in row))
+        mult = lcm(*(x.denominator for x in row))
         scale *= mult
-        out.append([f.numerator * (mult // f.denominator) for f in row])
+        out.append([x.numerator * (mult // x.denominator) for x in row])
     return out, scale
 
 

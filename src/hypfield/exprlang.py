@@ -16,6 +16,7 @@ ordinary quotients: ``1/2*p[1,1]`` means ``(1/2)*p[1,1]``.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,10 @@ class Token:
 
 
 _OPS = set("+-*/^()[],")
+# ASCII only: str.isdigit and str.isalpha also accept '²' or '١', which int()
+# rejects or reads as a digit
+_DIGITS = set(string.digits)
+_LETTERS = set(string.ascii_letters)
 
 
 def tokenize(src: str) -> list:
@@ -54,16 +59,16 @@ def tokenize(src: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             out.append(Token("int", src[i:j], i))
             i = j
             continue
-        if c.isalpha():
+        if c in _LETTERS:
             j = i
-            while j < n and src[j].isalpha():
+            while j < n and src[j] in _LETTERS:
                 j += 1
             out.append(Token("name", src[i:j], i))
             i = j

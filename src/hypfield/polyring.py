@@ -554,8 +554,6 @@ class XiSeries:
 
     __slots__ = ("genus", "coeffs")
 
-    MIN_POWER = -1
-
     def __init__(self, genus: int, coeffs=None):
         if genus < 1:
             raise ValueError("genus must be >= 1")

@@ -9,9 +9,8 @@ the Kronecker-delta bookkeeping live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polyring import Poly, Symbol, XiSeries, b1, b2, b3, la, w
+from .polyring import Poly, XiSeries, b1, b2, b3, la, w
 
 
 class IndexOutOfRange(ValueError):

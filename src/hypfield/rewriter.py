@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .exactmath import format_rational
 from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
 from .relations import GenusContext, RelationId, bel1, bel2, l1_residual, pp_symbol
 

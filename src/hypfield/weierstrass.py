@@ -71,14 +71,14 @@ def gauss_reduce(omega1: complex, omega2: complex):
     return v1, v2
 
 
-def _q_series(v1: complex, v2: complex, cutoff: int):
+def _q_series(v1: complex, v2: complex):
     """(q, ..., q^_TERMS), E2, g2 and g3 of a reduced basis, the Eisenstein
-    series summed through q^cutoff."""
+    series summed through q^_EISENSTEIN_CUTOFF."""
     q = cmath.exp(2j * math.pi * (v2 / v1))
     powers = []
     e2 = e4 = e6 = 1.0 + 0j
     qn = 1.0 + 0j
-    for n in range(1, cutoff + 1):
+    for n in range(1, _EISENSTEIN_CUTOFF + 1):
         qn *= q
         powers.append(qn)
         lam = qn / (1.0 - qn)
@@ -90,15 +90,9 @@ def _q_series(v1: complex, v2: complex, cutoff: int):
     return tuple(powers[:_TERMS]), e2, g2, g3
 
 
-def eisenstein(omega1: complex, omega2: complex, cutoff: int = _EISENSTEIN_CUTOFF):
-    """Invariants (g2, g3) of the lattice spanned by the two periods.
-
-    ``cutoff`` counts series terms; 20 is already far below 1e-12 tails for
-    any reduced period ratio.
-    """
-    if cutoff < 20:
-        raise ValueError("cutoff must be at least 20")
-    return _q_series(*gauss_reduce(omega1, omega2), cutoff)[2:]
+def eisenstein(omega1: complex, omega2: complex):
+    """Invariants (g2, g3) of the lattice spanned by the two periods."""
+    return _q_series(*gauss_reduce(omega1, omega2))[2:]
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class LatticeContext:
     def __post_init__(self):
         try:
             v1, v2 = gauss_reduce(self.omega1, self.omega2)
-            powers, e2, g2, g3 = _q_series(v1, v2, _EISENSTEIN_CUTOFF)
+            powers, e2, g2, g3 = _q_series(v1, v2)
             disc = g2 ** 3 - 27.0 * g3 ** 2
             vanishing = abs(disc) < 1e-10 * max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
         except ArithmeticError as exc:  # periods too large or small for floats

@@ -1,17 +1,23 @@
 """Command-line interface: output shapes and exit codes."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hypfield
 from hypfield.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from hypfield.polyring import Poly
+from hypfield.rewriter import InternalInconsistency
 
 
 def run(capsys, *argv):
@@ -130,6 +136,71 @@ DEEP = {
 }
 
 
+@pytest.mark.parametrize("text", ["p[1,1]^²", "p[١,١]"], ids=["superscript", "arabic-indic"])
+def test_reduce_non_ascii_digits_are_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "reduce", "--genus", "1", text)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: unexpected character")
+
+
+def test_reduce_batch_reports_every_bad_line(capsys, monkeypatch):
+    # the batch goes on after a failure and exits with the first failure's code
+    lines = ["1/(p[1,1] - p[1,1])", "p[1,1", "p[1,1]^²", "10^5000", "la4"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = run(capsys, "reduce", "--genus", "1")
+    assert code == EXIT_NUMERIC
+    assert out.splitlines() == ["-3*b1_1^2 + 1/2*b3_1"]
+    assert [line.split()[0] for line in err.splitlines()] == ["error:"] * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--genus", "1"],
+    ["verify", "--genus", "1"],
+    ["reduce", "--genus", "1", "la4"],
+    ["rank", "--genus", "1", "--samples", "1"],
+])
+def test_internal_inconsistency_is_a_verification_failure(capsys, monkeypatch, argv):
+    def inconsistent(ctx):
+        raise InternalInconsistency("forced cancellation failed")
+
+    monkeypatch.setattr("hypfield.cli.build_table", inconsistent)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "error: forced cancellation failed\n"
+
+
+# Python refuses int <-> str conversions of more than 4300 digits
+BIG = "1" * 5001
+DIGIT_LIMIT = {
+    "literal": ["reduce", "--genus", "1", BIG],
+    "index": ["reduce", "--genus", "1", f"p[{BIG},1]"],
+    "printed power": ["reduce", "--genus", "1", "10^5000"],
+    "printed discriminant": ["disc", "--genus", "1", "--lambda=1e2000,1"],
+    "printed parameters": ["rank", "--genus", "1", "--point", "1e2000,1,1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(DIGIT_LIMIT.values()), ids=list(DIGIT_LIMIT))
+def test_digit_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "4300" in err
+
+
+def test_digit_limit_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfield.cli", *DIGIT_LIMIT["printed power"]],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and "4300" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("text", list(DEEP.values()), ids=list(DEEP))
 def test_reduce_deep_nesting_is_a_usage_error(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text + "\nla4\n"))
@@ -185,9 +256,10 @@ def test_rank_explicit_point(capsys):
 
 
 def test_rank_point_length_checked(capsys):
-    code, _, err = run(capsys, "rank", "--genus", "2", "--point", "1,0")
+    code, out, err = run(capsys, "rank", "--genus", "2", "--point", "1,0")
     assert code == EXIT_USAGE
-    assert "coordinates" in err
+    assert out == ""
+    assert err == "error: point must have 6 coordinates\n"
 
 
 def test_disc_membership(capsys):
@@ -396,3 +468,113 @@ def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
     assert code == EXIT_OK
     assert "lambda IN Sigma_g" in out
     assert len(calls) == 1
+
+
+# --- fuzzing main in process ------------------------------------------------
+#
+# argv is drawn from each subcommand's grammar, kept small, with adversarial
+# tokens mixed in; any exception that escapes main fails the test.  Powers
+# attach to leaves only: reduce has no term budget, and a power of a power of
+# a product grows the expansion past any per-example deadline.
+
+ADVERSARIAL = ["²", "١", BIG, "(", ")", "[", "p[1,1", "p[1,1]]", ""]
+genera = st.sampled_from(["1", "2", "3"] * 4 + ["0", "١", BIG, "", "²"])
+samples = st.integers(-1, 50).map(str)
+seeds = st.integers(-5, 10**6).map(str)
+rationals = st.sampled_from(["0", "1", "-3", "2", "1/2", "-7/4", " 5 ", "1e2000"])
+bad_rationals = st.sampled_from(["1/0", "x", "1,", "²", "١", BIG, ""])
+lattices = st.sampled_from(
+    ["1,0,0.3,1.1", "1,0,0.25,1.15", "2,1,-1,3", "1,0,2,0", "1,0,0.25", "1,0,nan,1", "²,0,0,1"]
+)
+leaves = st.sampled_from(
+    [
+        "0", "1", "2", "7", "1/2",
+        "p[1,1]", "p[1,3]", "p[1,5]", "p[1,1,1]", "p[1,1,3]", "p[1,1,1,1]", "p[3,3]",
+        "p[7,7]", "p[3,3,3]", "p[1]", "p[1,2]", "la4", "la5", "la99",
+    ]
+    + ADVERSARIAL
+)
+exponents = st.integers(-3, 4)
+
+
+@st.composite
+def expressions(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        leaf = draw(leaves)
+        return f"{leaf}^{draw(exponents)}" if draw(st.booleans()) else leaf
+    kind = draw(st.sampled_from("+-*/n"))
+    left = draw(expressions(depth - 1))
+    if kind == "n":
+        return f"-({left})"
+    return f"({left}){kind}({draw(expressions(depth - 1))})"
+
+
+@st.composite
+def coordinates(draw, genus, per_genus):
+    """``per_genus`` * g comma-separated rationals, give or take one, with
+    one bad entry half of the time."""
+    count = per_genus * (int(genus) if genus in ("1", "2", "3") else 1)
+    count += draw(st.integers(-1, 1))
+    values = draw(st.lists(rationals, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, count - 1))] = draw(bad_rationals)
+    return ",".join(values)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(
+        ["table", "verify", "reduce", "rank", "disc", "numeric", "independence"]
+    ))
+    genus = draw(genera)
+    stdin = ""
+    if command == "table":
+        argv = ["--genus", genus, "--format", draw(st.sampled_from(["text", "tree"]))]
+    elif command == "verify":
+        argv = ["--genus", genus] + draw(st.sampled_from([[], ["--corrupt-lambda4"]]))
+    elif command == "reduce":
+        exprs = draw(st.lists(expressions(), min_size=1, max_size=3))
+        argv = ["--genus", genus]
+        if draw(st.booleans()):
+            argv.append(exprs[0])
+        else:
+            stdin = "\n".join(exprs) + "\n"
+    elif command == "rank":
+        argv = ["--genus", genus, "--samples", draw(samples), "--seed", draw(seeds)]
+        if draw(st.booleans()):
+            argv.append("--point=" + draw(coordinates(genus, 3)))
+    elif command == "disc":
+        argv = ["--genus", genus, "--lambda=" + draw(coordinates(genus, 2))]
+    elif command == "numeric":
+        argv = ["--genus", genus, "--samples", draw(samples), "--seed", draw(seeds)]
+        if draw(st.booleans()):
+            argv.append("--lattice=" + draw(lattices))
+        if draw(st.booleans()):
+            argv += ["--tol", draw(st.sampled_from(["1e-8", "1e-3", "1e-30", "0", "nan"]))]
+    else:
+        argv = [
+            "--lattices", str(draw(st.integers(-1, 4))),
+            "--samples", draw(samples),
+            "--weight-bound", str(draw(st.integers(0, 8))),
+            "--seed", draw(seeds),
+        ]
+    return [command] + argv, stdin
+
+
+@given(argvs())
+@settings(
+    max_examples=150,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_main_ends_in_a_documented_exit_code(case):
+    argv, stdin = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags before dispatch
+            assert exc.code == EXIT_USAGE, (argv, err.getvalue())
+            return
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_NUMERIC), (argv, code)

@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypfield.exactmath import (
-    as_fraction,
-    det_exact,
-    det_generic,
-    format_rational,
-    parse_rational,
-    rank_exact,
-)
+from hypfield.exactmath import det_exact, det_generic, rank_exact
 from hypfield.polyring import Poly, b1, b2, b3
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -69,19 +62,6 @@ def cofactor_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-# --- scalars ----------------------------------------------------------------
-
-@given(small_fractions)
-def test_format_parse_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
-
-
-def test_format_rational_shapes():
-    assert format_rational(Fraction(3)) == "3"
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
-    assert as_fraction(7) == Fraction(7)
 
 
 # --- rank -------------------------------------------------------------------

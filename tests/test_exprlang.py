@@ -30,6 +30,18 @@ def test_tokenize_bad_character():
     assert err.value.position == 7
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("p[1,1]^²", 7), ("p[١,١]", 2), ("la٤", 2), ("pé[1,1]", 1)],
+    ids=["superscript two", "arabic-indic digits", "arabic-indic index", "non-ascii letter"],
+)
+def test_tokenize_accepts_ascii_digits_and_letters_only(text, position):
+    # str.isdigit accepts '²', which int() rejects, and int() reads '١' as 1
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+        parse(text, CTX1)
+    assert err.value.position == position
+
+
 # --- parse shapes -----------------------------------------------------------
 
 def test_parse_atoms():

@@ -96,11 +96,6 @@ def test_eisenstein_symmetry_zeros():
     assert abs(g2_hex) < 1e-12 * abs(g3_hex)  # hexagonal lattice: g2 = 0
 
 
-def test_eisenstein_cutoff_floor():
-    with pytest.raises(ValueError):
-        eisenstein(1.0, 1j, cutoff=5)
-
-
 def test_context_rejects_degenerate_invariants():
     # hexagonal-with-g2=0 is fine; a real-ratio lattice is not
     with pytest.raises(DegenerateLattice):
