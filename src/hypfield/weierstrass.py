@@ -65,7 +65,12 @@ def gauss_reduce(omega1: complex, omega2: complex):
         mu = round((v2 * v1.conjugate()).real / abs(v1) ** 2)
         if mu == 0:
             break
-        v2 = v2 - mu * v1
+        # with Re(v2/v1) at +-1/2 to rounding, v2 - mu*v1 is no shorter and
+        # the next step would subtract it back: stop once nothing shrinks
+        shorter = v2 - mu * v1
+        if abs(shorter) >= abs(v2):
+            break
+        v2 = shorter
     if (v2 / v1).imag < 0:
         v2 = -v2
     return v1, v2

@@ -62,6 +62,20 @@ def test_gauss_reduce_properties():
         assert abs(abs((r1.conjugate() * r2).imag) - area) < 1e-9 * area
 
 
+@pytest.mark.parametrize("s, tau", [
+    (complex(-0.21200409110857063, 1.0456176882676984), complex(-0.5, 0.8660254037844386)),
+    (complex(-2.8633382295914043, 0.9191674801845738), complex(0.5, 4.077532632894562)),
+    (complex(1.2213086062592955, 1.3824565359758707), complex(0.5, 0.8660254037844386)),
+])
+def test_gauss_reduce_terminates_on_the_boundary(s, tau):
+    # Re(tau) = +-1/2: rounding made mu flip between +1 and -1 forever
+    r1, r2 = gauss_reduce(s, s * tau)
+    assert abs(r1) <= abs(r2) * (1 + 1e-12)
+    assert abs(abs(r1) - abs(s)) < 1e-12 * abs(s)
+    ratio = r2 / r1
+    assert ratio.imag > 0 and abs(ratio.real) <= 0.5 + 1e-12
+
+
 def test_gauss_reduce_degenerate():
     with pytest.raises(DegenerateLattice):
         gauss_reduce(1.0, 2.0)
