@@ -60,6 +60,16 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
+
+def _plain(exc: Exception) -> str:
+    """``exc``'s text, but Python's int <-> str digit limit in plain words:
+    its advice to call sys.set_int_max_str_digits() is for programs."""
+    if "set_int_max_str_digits" in str(exc):
+        limit = sys.get_int_max_str_digits()
+        return f"numbers of more than {limit} digits are not supported"
+    return str(exc)
+
+
 # How a command's exception ends it: the first row whose class matches gives
 # the exit code and the text after "error: ".  Every input error the package
 # raises subclasses ValueError, as does Python's limit on int <-> str
@@ -72,7 +82,7 @@ _EXITS = (
     # the parser and the reducer recurse once per nesting level
     (RecursionError, EXIT_USAGE, lambda exc: "expression nested too deeply"),
     (UnsupportedSymbol, EXIT_USAGE, lambda exc: f"{exc}\nhint: {_OUT_OF_SCOPE}"),
-    (ValueError, EXIT_USAGE, str),
+    (ValueError, EXIT_USAGE, _plain),
 )
 _FAILURES = tuple(cls for cls, _, _ in _EXITS)
 
@@ -84,6 +94,14 @@ def _report(exc: Exception) -> int:
     return code
 
 
+def _cut(text: str, limit: int = 80) -> str:
+    """``text`` for an error message, cut after ``limit`` characters, so an
+    argument of any length is echoed in one line."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... (cut from {len(text)} characters)"
+
+
 def _positive_int(name: str):
     """An argparse type accepting integers >= 1, naming ``name`` on error."""
 
@@ -91,7 +109,9 @@ def _positive_int(name: str):
         try:
             n = int(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {value!r}")
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {_cut(repr(value))}"
+            )
         if n < 1:
             raise argparse.ArgumentTypeError(f"{name} must be >= 1")
         return n
@@ -110,10 +130,10 @@ def _tolerance(upper: float):
         try:
             x = float(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"tol must be a number, got {value!r}")
+            raise argparse.ArgumentTypeError(f"tol must be a number, got {_cut(repr(value))}")
         if not 0 < x < upper:
             raise argparse.ArgumentTypeError(
-                f"tol must be a finite number in (0, {upper:g}), got {value!r}"
+                f"tol must be a finite number in (0, {upper:g}), got {_cut(repr(value))}"
             )
         return x
 
@@ -124,7 +144,9 @@ def _parse_lambda_list(text: str) -> list:
     try:
         return [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(
+            f"bad rational list {_cut(repr(text))}: {_cut(_plain(exc))}"
+        )
 
 
 def _lattice_arg(text: str) -> weierstrass.LatticeContext:
@@ -134,14 +156,14 @@ def _lattice_arg(text: str) -> weierstrass.LatticeContext:
         parts = []
     if len(parts) != 4 or not all(math.isfinite(x) for x in parts):
         raise argparse.ArgumentTypeError(
-            f"--lattice needs four finite numbers re1,im1,re2,im2, got {text!r}"
+            f"--lattice needs four finite numbers re1,im1,re2,im2, got {_cut(repr(text))}"
         )
     try:
         return weierstrass.LatticeContext(
             complex(parts[0], parts[1]), complex(parts[2], parts[3])
         )
     except weierstrass.DegenerateLattice as exc:
-        raise argparse.ArgumentTypeError(f"unusable lattice {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"unusable lattice {_cut(repr(text))}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,6 @@ Course in Computational Algebraic Number Theory*, GTM 138, section 3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -18,17 +17,27 @@ from .polyring import Poly, la
 from .relations import GenusContext
 
 
-@dataclass(frozen=True)
 class LambdaVector:
-    genus: int
-    values: Mapping[int, Fraction]  # s -> value, s in {4, 6, ..., 4g+2}
+    __slots__ = ("genus", "values")
 
-    def __post_init__(self):
-        expected = set(GenusContext(self.genus).lambda_indices)
-        if set(self.values) != expected:
+    def __init__(self, genus: int, values: Mapping[int, Fraction]):
+        """``values`` maps s to la_s for s in {4, 6, ..., 4g+2}."""
+        expected = set(GenusContext(genus).lambda_indices)
+        if set(values) != expected:
             raise ValueError(
-                f"parameter indices {sorted(self.values)} != {sorted(expected)}"
+                f"parameter indices {sorted(values)} != {sorted(expected)}"
             )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (
+            type(other) is LambdaVector
+            and (other.genus, other.values) == (self.genus, self.values)
+        )
 
     @classmethod
     def from_sequence(cls, genus: int, seq) -> "LambdaVector":

@@ -16,9 +16,8 @@ ordinary quotients: ``1/2*p[1,1]`` means ``(1/2)*p[1,1]``.
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .relations import GenusContext
 from .rewriter import BinOp, Const, Expr, Lam, Neg, Pow, PSym
@@ -36,8 +35,7 @@ class ExpressionIndexError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # int, name, op
     text: str
     pos: int
@@ -46,8 +44,8 @@ class Token:
 _OPS = set("+-*/^()[],")
 # ASCII only: str.isdigit and str.isalpha also accept '²' or '١', which int()
 # rejects or reads as a digit
-_DIGITS = set(string.digits)
-_LETTERS = set(string.ascii_letters)
+_DIGITS = set("0123456789")
+_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def tokenize(src: str) -> list:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +58,7 @@ def _monomials(weights: tuple, bound: int) -> list:
     return sorted(_exponents(weights, bound), key=lambda exps: (weight(exps), exps))
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     mode: str                 # "multi-lattice" or "single-lattice"
     generator_names: tuple
     weight_bound: int

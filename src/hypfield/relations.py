@@ -8,7 +8,7 @@ the Kronecker-delta bookkeeping live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polyring import Poly, XiSeries, b1, b2, b3, la, w
 
@@ -17,13 +17,22 @@ class IndexOutOfRange(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GenusContext:
-    g: int
+    __slots__ = ("g",)
 
-    def __post_init__(self):
-        if self.g < 1:
+    def __init__(self, g: int):
+        if g < 1:
             raise ValueError("genus must be >= 1")
+        object.__setattr__(self, "g", g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is GenusContext and other.g == self.g
+
+    def __hash__(self):
+        return hash(self.g)
 
     @property
     def odd_indices(self) -> tuple:
@@ -39,8 +48,7 @@ class GenusContext:
         return tuple((k, l) for k in odd for l in odd if k <= l)
 
 
-@dataclass(frozen=True)
-class RelationId:
+class RelationId(NamedTuple):
     family: str  # "BEL1" or "BEL2"
     indices: tuple
 

@@ -11,10 +11,8 @@ rewrites arbitrary expressions into the fraction field of those generators.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
 from .relations import GenusContext, RelationId, bel1, bel2, l1_residual, pp_symbol
@@ -39,38 +37,42 @@ class DivisionByZeroPoly(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 # expression AST (surface symbols; built by the exprlang parser)
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class PSym:
+class PSym(NamedTuple):
     indices: tuple  # at least two odd indices
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(NamedTuple):
     s: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: int
 
+
+# a node equals only a node of its own type: Const(4) != Lam(4) although the
+# tuples agree; equal nodes are equal tuples, so the tuple hash stays valid
+def _same_node(a, b):
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+for _node in (Const, PSym, Lam, Neg, BinOp, Pow):
+    _node.__eq__ = _same_node
+    _node.__ne__ = lambda a, b: not _same_node(a, b)
 
 Expr = Union[Const, PSym, Lam, Neg, BinOp, Pow]
 
@@ -78,8 +80,7 @@ Expr = Union[Const, PSym, Lam, Neg, BinOp, Pow]
 # ---------------------------------------------------------------------------
 # relation table
 
-@dataclass(frozen=True)
-class RelationTable:
+class RelationTable(NamedTuple):
     genus: int
     lam: Mapping[int, Poly]
     w: Mapping[tuple, Poly]
@@ -107,6 +108,8 @@ class RelationTable:
         }
 
     def tree_text(self) -> str:
+        import json  # only table --format tree needs it
+
         return json.dumps(self.tree(), indent=2) + "\n"
 
 

@@ -8,12 +8,11 @@ computed over Q with no tolerances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmath import rank_exact
-from .polyring import Poly, b1, b2, b3
+from .polyring import Poly, b1, b2, b3, homogeneous_weight
 from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
 
@@ -32,8 +31,7 @@ def generator_symbols(g: int) -> list:
     return [b1(k) for k in odd] + [b2(k) for k in odd] + [b3(k) for k in odd]
 
 
-@dataclass(frozen=True)
-class VarietySystem:
+class VarietySystem(NamedTuple):
     genus: int
     equations: tuple  # of (RelationId, Poly)
 
@@ -50,8 +48,7 @@ def variety_system(ctx: GenusContext) -> VarietySystem:
     return VarietySystem(ctx.g, tuple(eqs))
 
 
-@dataclass(frozen=True)
-class EquationStatus:
+class EquationStatus(NamedTuple):
     relation: RelationId
     residual: Poly
 
@@ -60,8 +57,6 @@ class EquationStatus:
         return self.residual.is_zero()
 
     def line(self) -> str:
-        from .polyring import homogeneous_weight
-
         if self.is_zero:
             return f"{self.relation}: ZERO"
         wt = homogeneous_weight(self.residual)
@@ -69,8 +64,7 @@ class EquationStatus:
         return f"{self.relation}: NONZERO(weight={wt_text}, terms={len(self.residual.terms)})"
 
 
-@dataclass(frozen=True)
-class UniformizeReport:
+class UniformizeReport(NamedTuple):
     genus: int
     entries: tuple  # of EquationStatus
 
@@ -100,8 +94,7 @@ def uniformize_check(ctx: GenusContext, table: RelationTable) -> UniformizeRepor
     return UniformizeReport(ctx.g, entries)
 
 
-@dataclass(frozen=True)
-class PMap:
+class PMap(NamedTuple):
     """The polynomial projection onto the parameter space, one component
     per curve parameter, each homogeneous in the 3g generators, with its
     symbolic 2g x 3g Jacobian (rows by component, columns by generator)."""

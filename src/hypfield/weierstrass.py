@@ -29,8 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class DegenerateLattice(ValueError):
@@ -100,24 +99,19 @@ def eisenstein(omega1: complex, omega2: complex):
     return _q_series(*gauss_reduce(omega1, omega2))[2:]
 
 
-@dataclass(frozen=True)
 class LatticeContext:
-    """Immutable genus-1 numeric context for one period lattice."""
+    """Immutable genus-1 numeric context for one period lattice: the periods
+    omega1, omega2, a Gauss-reduced basis reduced1, reduced2, the invariants
+    g2, g3 and the curve parameters lambda4, lambda6."""
 
-    omega1: complex
-    omega2: complex
+    __slots__ = (
+        "omega1", "omega2", "reduced1", "reduced2",
+        "g2", "g3", "lambda4", "lambda6", "_powers", "_e2",
+    )
 
-    # derived, filled in __post_init__
-    reduced1: complex = field(init=False)
-    reduced2: complex = field(init=False)
-    g2: complex = field(init=False)
-    g3: complex = field(init=False)
-    lambda4: complex = field(init=False)
-    lambda6: complex = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, omega1: complex, omega2: complex):
         try:
-            v1, v2 = gauss_reduce(self.omega1, self.omega2)
+            v1, v2 = gauss_reduce(omega1, omega2)
             powers, e2, g2, g3 = _q_series(v1, v2)
             disc = g2 ** 3 - 27.0 * g3 ** 2
             vanishing = abs(disc) < 1e-10 * max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
@@ -127,14 +121,22 @@ class LatticeContext:
             ) from exc
         if vanishing:
             raise DegenerateLattice("vanishing discriminant")
-        object.__setattr__(self, "reduced1", v1)
-        object.__setattr__(self, "reduced2", v2)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "g3", g3)
-        object.__setattr__(self, "lambda4", -g2 / 4.0)
-        object.__setattr__(self, "lambda6", -g3 / 4.0)
-        object.__setattr__(self, "_powers", powers)
-        object.__setattr__(self, "_e2", e2)
+        # in __slots__ order
+        values = (omega1, omega2, v1, v2, g2, g3, -g2 / 4.0, -g3 / 4.0, powers, e2)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (
+            type(other) is LatticeContext
+            and (other.omega1, other.omega2) == (self.omega1, self.omega2)
+        )
+
+    def __hash__(self):
+        return hash((self.omega1, self.omega2))
 
     # lattice geometry -----------------------------------------------------
 
@@ -199,8 +201,7 @@ def wp_second(ctx: LatticeContext, z: complex) -> complex:
     return _wp_all(ctx, z)[2]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Scaled residuals of the two relation families and the two derived
     parameter formulas, evaluated on (wp, wp', wp'')."""
 

@@ -188,6 +188,28 @@ def test_digit_limit_is_a_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and "4300" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disc", "--genus", "1", f"--lambda={BIG},1"],
+        ["rank", "--genus", "1", "--point", f"{BIG},1,1"],
+        ["numeric", "--lattice", BIG],
+    ],
+    ids=["lambda", "point", "lattice"],
+)
+def test_long_bad_argument_is_echoed_short(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfield.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.encode()) < 400, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
 
 
 def test_digit_limit_without_traceback():
@@ -341,8 +363,12 @@ def test_independence_too_many_columns_exits_fast():
     assert "Traceback" not in proc.stderr
 
 
+# standard modules that no subcommand needs at start-up (json only for
+# table --format tree); a bare interpreter imports none of them
+LEAN = ("dataclasses", "inspect", "json", "string")
+
 STARTUP_PROBE = """
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 import hypfield.cli
 out = io.StringIO()
 for argv in sys.argv[1:]:
@@ -352,18 +378,23 @@ for argv in sys.argv[1:]:
         except SystemExit as exc:  # --version
             code = exc.code
     assert code == 0, (argv, code)
+# before this probe's own import of json
+loaded = {name: name in sys.modules for name in %r}
+import json
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
     # a lazily loaded module turns into a plain module once it has run
     "weierstrass": type(sys.modules["hypfield.weierstrass"]) is types.ModuleType,
+    "loaded": loaded,
     "out": out.getvalue(),
 }))
-"""
+""" % (LEAN,)
 
 
 def startup_probe(*argvs):
     """Run ``argvs`` through ``main`` in one fresh process; report whether
-    numpy was imported, whether weierstrass ran, and the joined stdout."""
+    numpy was imported, whether weierstrass ran, which of ``LEAN`` were
+    imported, and the joined stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, *argvs],
@@ -384,6 +415,7 @@ def test_exact_subcommands_never_import_numpy():
     )
     assert not probe["numpy"]
     assert not probe["weierstrass"]
+    assert not any(probe["loaded"].values()), probe["loaded"]
 
 
 @pytest.mark.parametrize(
@@ -392,7 +424,13 @@ def test_exact_subcommands_never_import_numpy():
 def test_numeric_never_imports_numpy(argv):
     probe = startup_probe(argv)
     assert not probe["numpy"]
+    assert not any(probe["loaded"].values()), probe["loaded"]
     assert probe["out"].endswith("PASS\n")
+
+
+def test_only_the_tree_format_imports_json():
+    probe = startup_probe("table --genus 2 --format tree")
+    assert probe["loaded"] == {name: name == "json" for name in LEAN}
 
 
 def test_independence_imports_numpy():
