@@ -94,12 +94,12 @@ def _report(exc: Exception) -> int:
     return code
 
 
-def _cut(text: str, limit: int = 80) -> str:
-    """``text`` for an error message, cut after ``limit`` characters, so an
+def _cut(text: str) -> str:
+    """``text`` for an error message, cut after 80 characters, so an
     argument of any length is echoed in one line."""
-    if len(text) <= limit:
+    if len(text) <= 80:
         return text
-    return f"{text[:limit]}... (cut from {len(text)} characters)"
+    return f"{text[:80]}... (cut from {len(text)} characters)"
 
 
 def _positive_int(name: str):

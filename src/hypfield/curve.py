@@ -39,6 +39,12 @@ class LambdaVector:
             and (other.genus, other.values) == (self.genus, self.values)
         )
 
+    def __repr__(self):
+        return f"LambdaVector(genus={self.genus}, values={self.values!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return LambdaVector, (self.genus, self.values)
+
     @classmethod
     def from_sequence(cls, genus: int, seq) -> "LambdaVector":
         indices = GenusContext(genus).lambda_indices

@@ -34,6 +34,12 @@ class GenusContext:
     def __hash__(self):
         return hash(self.g)
 
+    def __repr__(self):
+        return f"GenusContext(g={self.g})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return GenusContext, (self.g,)
+
     @property
     def odd_indices(self) -> tuple:
         return tuple(range(1, 2 * self.g, 2))

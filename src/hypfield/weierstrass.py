@@ -121,9 +121,11 @@ class LatticeContext:
             ) from exc
         if vanishing:
             raise DegenerateLattice("vanishing discriminant")
-        # in __slots__ order
-        values = (omega1, omega2, v1, v2, g2, g3, -g2 / 4.0, -g3 / 4.0, powers, e2)
-        for name, value in zip(self.__slots__, values):
+        fields = dict(
+            omega1=omega1, omega2=omega2, reduced1=v1, reduced2=v2, g2=g2, g3=g3,
+            lambda4=-g2 / 4.0, lambda6=-g3 / 4.0, _powers=powers, _e2=e2,
+        )
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -137,6 +139,12 @@ class LatticeContext:
 
     def __hash__(self):
         return hash((self.omega1, self.omega2))
+
+    def __repr__(self):
+        return f"LatticeContext(omega1={self.omega1!r}, omega2={self.omega2!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return LatticeContext, (self.omega1, self.omega2)
 
     # lattice geometry -----------------------------------------------------
 

@@ -1,6 +1,8 @@
 """The package's immutable record classes: value equality, hashing where
-every field is hashable, and no assignment after construction."""
+every field is hashable, no assignment after construction, copy and pickle."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,15 @@ def test_record_semantics(make, attr, hashable):
     with pytest.raises(AttributeError):
         setattr(a, attr, getattr(b, attr))
     assert a == b
+    for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(c) is type(a) and c == a
+
+
+@pytest.mark.parametrize("name", ["GenusContext", "LambdaVector", "LatticeContext"])
+def test_slots_records_show_their_fields(name):
+    a = RECORDS[name][0]()
+    assert repr(a).startswith(f"{name}(")
+    assert eval(repr(a), {name: type(a), "Fraction": Fraction}) == a
 
 
 def test_expression_nodes_compare_by_type():
