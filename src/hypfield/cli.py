@@ -3,6 +3,9 @@
 Subcommands: table, verify, reduce, rank, disc, numeric, independence.
 Exit codes: 0 success, 2 usage error, 3 verification failure, 4 numeric
 failure.  All commands are deterministic given their flags and seed.
+Option values pass one converter factory, ``_arg``, and argparse errors one
+``error`` override, which cuts the message, so a rejected argument of any
+length is echoed as a short prefix.
 """
 
 from __future__ import annotations
@@ -61,13 +64,14 @@ EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
 
-def _plain(exc: Exception) -> str:
-    """``exc``'s text, but Python's int <-> str digit limit in plain words:
-    its advice to call sys.set_int_max_str_digits() is for programs."""
+def _plain(exc: Exception, other: str | None = None) -> str:
+    """``exc``'s text, or ``other`` if given, but Python's int <-> str digit
+    limit in plain words: its advice to call sys.set_int_max_str_digits() is
+    for programs."""
     if "set_int_max_str_digits" in str(exc):
         limit = sys.get_int_max_str_digits()
         return f"numbers of more than {limit} digits are not supported"
-    return str(exc)
+    return str(exc) if other is None else other
 
 
 # How a command's exception ends it: the first row whose class matches gives
@@ -94,80 +98,57 @@ def _report(exc: Exception) -> int:
     return code
 
 
-def _cut(text: str) -> str:
-    """``text`` for an error message, cut after 80 characters, so an
-    argument of any length is echoed in one line."""
-    if len(text) <= 80:
-        return text
-    return f"{text[:80]}... (cut from {len(text)} characters)"
+class _Parser(argparse.ArgumentParser):
+    """hypfield's parser and, through add_subparsers, each subcommand's: every
+    argparse error passes here and is cut after 120 characters, so an
+    argument of any length is echoed in one short line."""
+
+    def error(self, message: str):
+        if len(message) > 120:
+            message = f"{message[:120]}... (cut from {len(message)} characters)"
+        super().error(message)
 
 
-def _positive_int(name: str):
-    """An argparse type accepting integers >= 1, naming ``name`` on error."""
+def _arg(reason: str, convert, accept=lambda value: True):
+    """An argparse type: ``convert`` applied to the option's text, whose
+    value ``accept`` must pass.  A rejected value, a ValueError or an
+    ArithmeticError reads ``<reason>, got <text>``; a DegenerateLattice keeps
+    its own text as the reason, and Python's 4300-digit limit gets _plain's
+    wording."""
 
-    def parse(value: str) -> int:
+    def parse(text: str):
         try:
-            n = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be an integer, got {_cut(repr(value))}"
-            )
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1")
-        return n
+            value = convert(text)
+            if accept(value):
+                return value
+            cause = reason
+        except weierstrass.DegenerateLattice as exc:
+            cause = str(exc)
+        except (ValueError, ArithmeticError) as exc:
+            cause = _plain(exc, reason)
+        raise argparse.ArgumentTypeError(f"{cause}, got {text!r}")
 
     return parse
 
 
-_genus_arg = _positive_int("genus")
-_samples_arg = _positive_int("samples")
+def _lattice_context(text: str) -> weierstrass.LatticeContext:
+    parts = [float(part) for part in text.split(",")]
+    if len(parts) != 4 or not all(map(math.isfinite, parts)):
+        raise ValueError
+    return weierstrass.LatticeContext(complex(*parts[:2]), complex(*parts[2:]))
 
 
-def _tolerance(upper: float):
-    """An argparse type accepting finite floats in the open interval (0, upper)."""
-
-    def parse(value: str) -> float:
-        try:
-            x = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"tol must be a number, got {_cut(repr(value))}")
-        if not 0 < x < upper:
-            raise argparse.ArgumentTypeError(
-                f"tol must be a finite number in (0, {upper:g}), got {_cut(repr(value))}"
-            )
-        return x
-
-    return parse
-
-
-def _parse_lambda_list(text: str) -> list:
-    try:
-        return [Fraction(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad rational list {_cut(repr(text))}: {_cut(_plain(exc))}"
-        )
-
-
-def _lattice_arg(text: str) -> weierstrass.LatticeContext:
-    try:
-        parts = [float(part) for part in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) != 4 or not all(math.isfinite(x) for x in parts):
-        raise argparse.ArgumentTypeError(
-            f"--lattice needs four finite numbers re1,im1,re2,im2, got {_cut(repr(text))}"
-        )
-    try:
-        return weierstrass.LatticeContext(
-            complex(parts[0], parts[1]), complex(parts[2], parts[3])
-        )
-    except weierstrass.DegenerateLattice as exc:
-        raise argparse.ArgumentTypeError(f"unusable lattice {_cut(repr(text))}: {exc}")
+_integer = _arg("must be an integer", int)
+_positive_integer = _arg("must be an integer >= 1", int, lambda n: n >= 1)
+_rationals = _arg(
+    "must be comma-separated rationals",
+    lambda text: [Fraction(part) for part in text.split(",")],
+)
+_lattice = _arg("needs four finite numbers re1,im1,re2,im2", _lattice_context)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypfield",
         description=(
             "Exact-arithmetic engine for the field of hyperelliptic functions "
@@ -178,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="derive and print the relation table")
-    p_table.add_argument("--genus", type=_genus_arg, required=True)
+    p_table.add_argument("--genus", type=_positive_integer, required=True)
     p_table.add_argument("--format", choices=("text", "tree"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the uniformization checks")
-    p_verify.add_argument("--genus", type=_genus_arg, required=True)
+    p_verify.add_argument("--genus", type=_positive_integer, required=True)
     p_verify.add_argument(
         "--corrupt-lambda4",
         action="store_true",
@@ -192,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser(
         "reduce", help="rewrite expressions into the generator fraction field"
     )
-    p_reduce.add_argument("--genus", type=_genus_arg, required=True)
+    p_reduce.add_argument("--genus", type=_positive_integer, required=True)
     p_reduce.add_argument(
         "expression",
         nargs="?",
@@ -200,39 +181,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_rank = sub.add_parser("rank", help="exact Jacobian ranks of the parameter map")
-    p_rank.add_argument("--genus", type=_genus_arg, required=True)
-    p_rank.add_argument("--samples", type=_samples_arg, default=10)
-    p_rank.add_argument("--seed", type=int, default=0)
+    p_rank.add_argument("--genus", type=_positive_integer, required=True)
+    p_rank.add_argument("--samples", type=_positive_integer, default=10)
+    p_rank.add_argument("--seed", type=_integer, default=0)
     p_rank.add_argument(
-        "--point", type=_parse_lambda_list, default=None,
+        "--point", type=_rationals, default=None,
         help="evaluate at one explicit point (3g comma-separated rationals)",
     )
 
     p_disc = sub.add_parser("disc", help="curve discriminant and Sigma_g membership")
-    p_disc.add_argument("--genus", type=_genus_arg, required=True)
+    p_disc.add_argument("--genus", type=_positive_integer, required=True)
     p_disc.add_argument(
-        "--lambda", dest="lambda_values", type=_parse_lambda_list, required=True,
+        "--lambda", dest="lambda_values", type=_rationals, required=True,
         help="comma-separated rationals in index order la4, la6, ...",
     )
 
     p_num = sub.add_parser("numeric", help="genus-1 numeric identity validation")
-    p_num.add_argument("--genus", type=_genus_arg, default=1)
-    p_num.add_argument("--samples", type=_samples_arg, default=20)
-    p_num.add_argument("--seed", type=int, default=0)
-    p_num.add_argument("--tol", type=_tolerance(math.inf), default=1e-8)
+    p_num.add_argument("--genus", type=_positive_integer, default=1)
+    p_num.add_argument("--samples", type=_positive_integer, default=20)
+    p_num.add_argument("--seed", type=_integer, default=0)
     p_num.add_argument(
-        "--lattice", type=_lattice_arg, default=None,
+        "--tol", type=_arg("must be a finite number > 0", float, lambda x: 0 < x < math.inf),
+        default=1e-8,
+    )
+    p_num.add_argument(
+        "--lattice", type=_lattice, default=None,
         help="fixed lattice as re1,im1,re2,im2 (default: random per sample)",
     )
 
     p_ind = sub.add_parser(
         "independence", help="monomial-matrix rank experiment"
     )
-    p_ind.add_argument("--lattices", type=int, default=6)
-    p_ind.add_argument("--samples", type=_samples_arg, default=40)
-    p_ind.add_argument("--weight-bound", type=int, default=8)
-    p_ind.add_argument("--seed", type=int, default=7)
-    p_ind.add_argument("--tol", type=_tolerance(1.0), default=1e-6)
+    p_ind.add_argument("--lattices", type=_integer, default=6)
+    p_ind.add_argument("--samples", type=_positive_integer, default=40)
+    p_ind.add_argument("--weight-bound", type=_integer, default=8)
+    p_ind.add_argument("--seed", type=_integer, default=7)
+    p_ind.add_argument(
+        "--tol", type=_arg("must be a number in (0, 1)", float, lambda x: 0 < x < 1),
+        default=1e-6,
+    )
     return parser
 
 

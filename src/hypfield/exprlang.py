@@ -16,6 +16,7 @@ ordinary quotients: ``1/2*p[1,1]`` means ``(1/2)*p[1,1]``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,16 +24,18 @@ from .relations import GenusContext
 from .rewriter import BinOp, Const, Expr, Lam, Neg, Pow, PSym
 
 
-class ExpressionSyntaxError(ValueError):
+class _PositionedError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class ExpressionIndexError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class ExpressionSyntaxError(_PositionedError):
+    pass
+
+
+class ExpressionIndexError(_PositionedError):
+    pass
 
 
 class Token(NamedTuple):
@@ -41,41 +44,22 @@ class Token(NamedTuple):
     pos: int
 
 
-_OPS = set("+-*/^()[],")
-# ASCII only: str.isdigit and str.isalpha also accept '²' or '١', which int()
-# rejects or reads as a digit
-_DIGITS = set("0123456789")
-_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# ASCII only: str.isdigit and str.isalpha, like \d and \w, also accept '²'
+# or '١', which int() rejects or reads as a digit
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<op>[-+*/^()\[\],])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def tokenize(src: str) -> list:
     out = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            out.append(Token("int", src[i:j], i))
-            i = j
-            continue
-        if c in _LETTERS:
-            j = i
-            while j < n and src[j] in _LETTERS:
-                j += 1
-            out.append(Token("name", src[i:j], i))
-            i = j
-            continue
-        if c in _OPS:
-            out.append(Token("op", c, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+    for match in _TOKEN.finditer(src):
+        kind, text, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {text!r}", pos)
+        if kind != "space":
+            out.append(Token(kind, text, pos))
     return out
 
 

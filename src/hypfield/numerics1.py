@@ -32,6 +32,10 @@ from .weierstrass import (  # noqa: F401  (re-exported)
 )
 
 
+# sample points keep at least this many periods from every lattice point
+_MARGIN = 0.3
+
+
 class InsufficientSamples(ValueError):
     """Fewer sample rows than monomial columns."""
 
@@ -127,7 +131,6 @@ def independence_experiment(
     weight_bound: int,
     seed: int,
     threshold: float = 1e-6,
-    margin: float = 0.3,
 ) -> RankReport:
     """Numeric rank of the monomial sample matrix.
 
@@ -166,7 +169,7 @@ def independence_experiment(
     for _ in range(lattice_count):
         ctx = random_lattice(rng)
         for _ in range(samples_per_lattice):
-            z = random_sample_point(ctx, rng, margin)
+            z = random_sample_point(ctx, rng, _MARGIN)
             samples.append(_wp_all(ctx, z)[: len(weights)])
     # a[i, j] = prod over generators g of samples[i][g] ** monos[j][g]
     a = np.prod(np.array(samples)[:, None, :] ** np.array(monos), axis=2)

@@ -191,14 +191,22 @@ def test_digit_limit_is_a_usage_error(capsys, argv):
     assert "set_int_max_str_digits" not in err
 
 
+LONG_BAD_ARGUMENT = {
+    "lambda": ["disc", "--genus", "1", f"--lambda={BIG},1"],
+    "point": ["rank", "--genus", "1", "--point", f"{BIG},1,1"],
+    "lattice": ["numeric", "--lattice", BIG],
+    "genus": ["table", "--genus", BIG],
+    "rank-seed": ["rank", "--genus", "1", "--seed", BIG],
+    "numeric-seed": ["numeric", "--seed", BIG],
+    "lattices": ["independence", "--lattices", BIG],
+    "trailing-argument": ["table", "--genus", "1", BIG],
+    "subcommand": [BIG],
+    "format": ["table", "--genus", "1", "--format", BIG],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["disc", "--genus", "1", f"--lambda={BIG},1"],
-        ["rank", "--genus", "1", "--point", f"{BIG},1,1"],
-        ["numeric", "--lattice", BIG],
-    ],
-    ids=["lambda", "point", "lattice"],
+    "argv", list(LONG_BAD_ARGUMENT.values()), ids=list(LONG_BAD_ARGUMENT)
 )
 def test_long_bad_argument_is_echoed_short(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
@@ -210,6 +218,15 @@ def test_long_bad_argument_is_echoed_short(argv):
     assert len(proc.stderr.encode()) < 400, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "set_int_max_str_digits" not in proc.stderr
+    if argv == LONG_BAD_ARGUMENT["genus"]:  # an integer, but past the digit limit
+        assert "4300 digits" in proc.stderr
+
+
+def test_rejected_lattice_names_its_cause(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["numeric", "--lattice", "1,0,0,100"])  # q = e^(-200 pi): disc ~ 0
+    assert err.value.code == EXIT_USAGE
+    assert "vanishing discriminant" in capsys.readouterr().err
 
 
 def test_digit_limit_without_traceback():
@@ -518,7 +535,14 @@ def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
 ADVERSARIAL = ["²", "١", BIG, "(", ")", "[", "p[1,1", "p[1,1]]", ""]
 genera = st.sampled_from(["1", "2", "3"] * 4 + ["0", "١", BIG, "", "²"])
 samples = st.integers(-1, 50).map(str)
-seeds = st.integers(-5, 10**6).map(str)
+
+
+def big_now_and_then(strategy):
+    """``strategy``, or BIG one time in eight."""
+    return st.integers(0, 7).flatmap(lambda k: strategy if k else st.just(BIG))
+
+
+seeds = big_now_and_then(st.integers(-5, 10**6).map(str))
 rationals = st.sampled_from(["0", "1", "-3", "2", "1/2", "-7/4", " 5 ", "1e2000"])
 bad_rationals = st.sampled_from(["1/0", "x", "1,", "²", "١", BIG, ""])
 lattices = st.sampled_from(
@@ -591,11 +615,13 @@ def argvs(draw):
             argv += ["--tol", draw(st.sampled_from(["1e-8", "1e-3", "1e-30", "0", "nan"]))]
     else:
         argv = [
-            "--lattices", str(draw(st.integers(-1, 4))),
+            "--lattices", draw(big_now_and_then(st.integers(-1, 4).map(str))),
             "--samples", draw(samples),
-            "--weight-bound", str(draw(st.integers(0, 8))),
+            "--weight-bound", draw(big_now_and_then(st.integers(0, 8).map(str))),
             "--seed", draw(seeds),
         ]
+    if draw(st.integers(0, 9)) == 0:  # a trailing extra token
+        argv.append(draw(st.sampled_from(["extra", "--bogus", "--bogus=" + BIG, BIG])))
     return [command] + argv, stdin
 
 
@@ -614,5 +640,6 @@ def test_main_ends_in_a_documented_exit_code(case):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flags before dispatch
             assert exc.code == EXIT_USAGE, (argv, err.getvalue())
+            assert len(err.getvalue().encode()) < 400, err.getvalue()
             return
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_NUMERIC), (argv, code)
