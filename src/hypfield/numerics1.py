@@ -1,9 +1,7 @@
 """Genus-1 rank experiment: numeric independence of monomials in wp, wp', wp''.
 
-The genus-1 functions themselves live in the pure-Python module
-``weierstrass``; they are re-exported here, so code that names them through
-``numerics1`` (perfbench's tracer among it) keeps working.  Only this module
-imports numpy.
+The genus-1 functions it samples live in the pure-Python module
+``weierstrass``.  Only this module imports numpy.
 """
 
 from __future__ import annotations
@@ -14,22 +12,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .weierstrass import (  # noqa: F401  (re-exported)
-    MAX_SAMPLE_ROWS,
-    DegenerateLattice,
-    LatticeContext,
-    NearPole,
-    ResidualReport,
-    _wp_all,
-    eisenstein,
-    gauss_reduce,
-    identity_residuals,
-    random_lattice,
-    random_sample_point,
-    wp,
-    wp_prime,
-    wp_second,
-)
+from .weierstrass import MAX_SAMPLE_ROWS, _wp_all, random_lattice, random_sample_point
+from .weierstrass import LatticeContext  # noqa: F401  (perfbench's tracer wraps it here)
 
 
 # sample points keep at least this many periods from every lattice point

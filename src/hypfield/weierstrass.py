@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class DegenerateLattice(ValueError):
@@ -224,18 +224,9 @@ class ResidualReport(NamedTuple):
         return max(self.quartic, self.cubic, self.lambda4_formula, self.lambda6_formula)
 
 
-def identity_residuals(
-    ctx: LatticeContext,
-    z: complex,
-    lambda4: Optional[complex] = None,
-    lambda6: Optional[complex] = None,
-) -> ResidualReport:
-    """Validate the genus-1 identities at one sample point.
-
-    lambda4/lambda6 overrides exist for adversarial tests only.
-    """
-    l4 = ctx.lambda4 if lambda4 is None else lambda4
-    l6 = ctx.lambda6 if lambda6 is None else lambda6
+def identity_residuals(ctx: LatticeContext, z: complex) -> ResidualReport:
+    """Validate the genus-1 identities at one sample point."""
+    l4, l6 = ctx.lambda4, ctx.lambda6
     p, p1, p2 = _wp_all(ctx, z)
     # the lattice's own size in weights 4 and 6 floors each scale: on the
     # square lattice wp, wp' and lambda6 all vanish at (1+i)/2, and the

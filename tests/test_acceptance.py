@@ -11,12 +11,7 @@ from functools import lru_cache
 
 from hypfield.curve import LambdaVector, in_sigma, symbolic_discriminant
 from hypfield.exprlang import format_expr, parse
-from hypfield.numerics1 import (
-    identity_residuals,
-    independence_experiment,
-    random_lattice,
-    random_sample_point,
-)
+from hypfield.numerics1 import independence_experiment
 from hypfield.polyring import Poly, homogeneous_weight, la
 from hypfield.relations import GenusContext, bel1, bel2
 from hypfield.rewriter import build_table, extract_from_bel2, reduce_expr
@@ -29,6 +24,7 @@ from hypfield.variety import (
     uniformize_check,
     variety_system,
 )
+from hypfield.weierstrass import identity_residuals, random_lattice, random_sample_point
 
 GENERA = (1, 2, 3, 4)
 

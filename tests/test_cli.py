@@ -1,9 +1,11 @@
 """Command-line interface: output shapes and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from datetime import timedelta
@@ -15,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hypfield
-from hypfield.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from hypfield.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from hypfield.polyring import Poly
-from hypfield.rewriter import InternalInconsistency
+from hypfield.rewriter import InternalInconsistency, build_table
 
 
 def run(capsys, *argv):
@@ -47,8 +49,13 @@ def test_verify_passes(capsys):
     assert "5/5 equations ZERO" in out
 
 
-def test_verify_corruption_hook_fails(capsys):
-    code, out, err = run(capsys, "verify", "--genus", "1", "--corrupt-lambda4")
+def test_verify_corruption_hook_fails(capsys, monkeypatch):
+    def corrupted(ctx):
+        table = build_table(ctx)
+        return table._replace(lam={**table.lam, 4: table.lam[4] + Poly.one()})
+
+    monkeypatch.setattr("hypfield.cli.build_table", corrupted)
+    code, out, err = run(capsys, "verify", "--genus", "1")
     assert code == EXIT_VERIFY
     assert "NONZERO" in out
     assert "FAILED" in err
@@ -191,6 +198,15 @@ def test_digit_limit_is_a_usage_error(capsys, argv):
     assert "set_int_max_str_digits" not in err
 
 
+# reduce rejects these after dispatch; each number is under the digit limit,
+# so its own text reaches the message
+LONG = "1" * 4000
+LONG_TOKENS = {
+    "reduce-group": f"(1 {LONG})",
+    "reduce-trailing": f"1 {LONG}",
+    "reduce-indices": "p[" + ",".join(["1"] * 3000) + "]",
+    "reduce-parameter": f"la{LONG}",
+}
 LONG_BAD_ARGUMENT = {
     "lambda": ["disc", "--genus", "1", f"--lambda={BIG},1"],
     "point": ["rank", "--genus", "1", "--point", f"{BIG},1,1"],
@@ -202,23 +218,30 @@ LONG_BAD_ARGUMENT = {
     "trailing-argument": ["table", "--genus", "1", BIG],
     "subcommand": [BIG],
     "format": ["table", "--genus", "1", "--format", BIG],
+    # 10**1000000 would take Fraction seconds to build, and disc far longer
+    "lambda-exponent": ["disc", "--genus", "1", "--lambda=1e1000000,1"],
+    "point-exponent": ["rank", "--genus", "1", "--point", "1e1000000,1,1"],
+    **{name: ["reduce", "--genus", "1", text] for name, text in LONG_TOKENS.items()},
+    "reduce-batch-line": ["reduce", "--genus", "1"],
 }
+LONG_BAD_STDIN = {"reduce-batch-line": LONG_TOKENS["reduce-group"] + "\nla4\n"}
+# integers, or powers of ten, past the digit limit
+PAST_THE_DIGIT_LIMIT = ("genus", "lambda-exponent", "point-exponent")
 
 
-@pytest.mark.parametrize(
-    "argv", list(LONG_BAD_ARGUMENT.values()), ids=list(LONG_BAD_ARGUMENT)
-)
-def test_long_bad_argument_is_echoed_short(argv):
+@pytest.mark.parametrize("name", list(LONG_BAD_ARGUMENT))
+def test_long_bad_argument_is_echoed_short(name):
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "hypfield.cli", *argv],
+        [sys.executable, "-m", "hypfield.cli", *LONG_BAD_ARGUMENT[name]],
+        input=LONG_BAD_STDIN.get(name, ""),
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert proc.returncode == EXIT_USAGE
     assert len(proc.stderr.encode()) < 400, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "set_int_max_str_digits" not in proc.stderr
-    if argv == LONG_BAD_ARGUMENT["genus"]:  # an integer, but past the digit limit
+    if name in PAST_THE_DIGIT_LIMIT:
         assert "4300 digits" in proc.stderr
 
 
@@ -340,8 +363,11 @@ def test_numeric_samples_capped_before_sampling(capsys, monkeypatch):
 
 
 def test_numeric_genus_restriction(capsys):
-    code, _, err = run(capsys, "numeric", "--genus", "2")
-    assert code == EXIT_USAGE
+    # numeric is genus 1 only, so it takes no --genus
+    with pytest.raises(SystemExit) as err:
+        main(["numeric", "--genus", "1"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --genus 1" in capsys.readouterr().err
 
 
 def test_independence_with_control(capsys):
@@ -474,11 +500,38 @@ def test_version_flag():
     assert err.value.code == 0
 
 
+def test_no_hidden_options():
+    # an option left out of --help is one no user is told of
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *sub.choices.values()]:
+        for action in p._actions:
+            assert action.help is not argparse.SUPPRESS, (p.prog, action.option_strings)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every ``hypfield ...`` line of README's sh blocks."""
+    blocks = README.read_text().split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [line for line in lines if line.startswith("hypfield ")]
+
+
+def test_readme_examples_exit_0(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for line in commands:
+        code = main(shlex.split(line, comments=True)[1:])
+        assert code == EXIT_OK, (line, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["disc", "--genus", "1", "--lambda=1/0,2"],
-        ["numeric", "--genus", "1", "--lattice", "a,b,c,d"],
+        ["numeric", "--lattice", "a,b,c,d"],
         ["numeric", "--lattice", "1,0,2,0"],
         ["numeric", "--lattice", "1,0,0.25"],
         ["numeric", "--lattice", "1,0,nan,1"],
@@ -532,7 +585,7 @@ def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
 # attach to leaves only: reduce has no term budget, and a power of a power of
 # a product grows the expansion past any per-example deadline.
 
-ADVERSARIAL = ["²", "١", BIG, "(", ")", "[", "p[1,1", "p[1,1]]", ""]
+ADVERSARIAL = ["²", "١", BIG, "(", ")", "[", "p[1,1", "p[1,1]]", "", *LONG_TOKENS.values()]
 genera = st.sampled_from(["1", "2", "3"] * 4 + ["0", "١", BIG, "", "²"])
 samples = st.integers(-1, 50).map(str)
 
@@ -543,7 +596,7 @@ def big_now_and_then(strategy):
 
 
 seeds = big_now_and_then(st.integers(-5, 10**6).map(str))
-rationals = st.sampled_from(["0", "1", "-3", "2", "1/2", "-7/4", " 5 ", "1e2000"])
+rationals = st.sampled_from(["0", "1", "-3", "2", "1/2", "-7/4", " 5 ", "1e2000", "1e1000000"])
 bad_rationals = st.sampled_from(["1/0", "x", "1,", "²", "١", BIG, ""])
 lattices = st.sampled_from(
     ["1,0,0.3,1.1", "1,0,0.25,1.15", "2,1,-1,3", "1,0,2,0", "1,0,0.25", "1,0,nan,1", "²,0,0,1"]
@@ -593,7 +646,7 @@ def argvs(draw):
     if command == "table":
         argv = ["--genus", genus, "--format", draw(st.sampled_from(["text", "tree"]))]
     elif command == "verify":
-        argv = ["--genus", genus] + draw(st.sampled_from([[], ["--corrupt-lambda4"]]))
+        argv = ["--genus", genus]
     elif command == "reduce":
         exprs = draw(st.lists(expressions(), min_size=1, max_size=3))
         argv = ["--genus", genus]
@@ -608,7 +661,7 @@ def argvs(draw):
     elif command == "disc":
         argv = ["--genus", genus, "--lambda=" + draw(coordinates(genus, 2))]
     elif command == "numeric":
-        argv = ["--genus", genus, "--samples", draw(samples), "--seed", draw(seeds)]
+        argv = ["--samples", draw(samples), "--seed", draw(seeds)]
         if draw(st.booleans()):
             argv.append("--lattice=" + draw(lattices))
         if draw(st.booleans()):
@@ -640,6 +693,8 @@ def test_main_ends_in_a_documented_exit_code(case):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flags before dispatch
             assert exc.code == EXIT_USAGE, (argv, err.getvalue())
-            assert len(err.getvalue().encode()) < 400, err.getvalue()
-            return
+            code = exc.code
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_NUMERIC), (argv, code)
+    if code == EXIT_USAGE:  # a short report for each rejected input
+        reports = max(1, stdin.count("\n"))
+        assert len(err.getvalue().encode()) < 400 * reports, err.getvalue()

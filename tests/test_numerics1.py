@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypfield import numerics1
+from hypfield import numerics1, weierstrass
 from hypfield.numerics1 import InsufficientSamples, _monomials, independence_experiment
 from hypfield.weierstrass import (
     DegenerateLattice,
@@ -352,9 +352,16 @@ def test_identity_residuals_machine_precision():
     assert identity_residuals(LatticeContext(1.0, 1j), 0.5 + 0.5j).max_scaled < 1e-12
 
 
-def test_identity_residuals_reject_wrong_parameters():
-    z = complex(0.33, 0.41)
-    rep = identity_residuals(CTX, z, lambda4=CTX.lambda4 + 0.5)
+def test_identity_residuals_reject_wrong_parameters(monkeypatch):
+    # wp'' off by one: the lattice's lambda4 no longer fits the functions
+    real = weierstrass._wp_all
+
+    def off(ctx, z):
+        p, p1, p2 = real(ctx, z)
+        return p, p1, p2 + 1.0
+
+    monkeypatch.setattr(weierstrass, "_wp_all", off)
+    rep = identity_residuals(CTX, complex(0.33, 0.41))
     assert rep.max_scaled > 1e-4
 
 
