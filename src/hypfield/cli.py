@@ -74,11 +74,11 @@ def _plain(exc: Exception, other: str | None = None) -> str:
     return str(exc) if other is None else other
 
 
-def _cut(message: str) -> str:
-    """``message``, of which at most the first 120 characters are echoed."""
-    if len(message) <= 120:
+def _cut(message: str, width: int = 120) -> str:
+    """``message``, of which at most the first ``width`` characters are echoed."""
+    if len(message) <= width:
         return message
-    return f"{message[:120]}... (cut from {len(message)} characters)"
+    return f"{message[:width]}... (cut from {len(message)} characters)"
 
 
 # How a command's exception ends it: the first row whose class matches gives
@@ -102,7 +102,8 @@ _FAILURES = tuple(cls for cls, _, _ in _EXITS)
 def _report(exc: Exception) -> int:
     """Print ``exc`` under the ``error:`` prefix and return its exit code."""
     code, form = next((code, form) for cls, code, form in _EXITS if isinstance(exc, cls))
-    print("error: " + form.format(_cut(_plain(exc))), file=sys.stderr)
+    # no usage line above it, so it may run longer than argparse's errors
+    print("error: " + form.format(_cut(_plain(exc), 240)), file=sys.stderr)
     return code
 
 
@@ -143,9 +144,10 @@ def _lattice_context(text: str) -> weierstrass.LatticeContext:
 
 
 def _rational(text: str) -> Fraction:
-    # Fraction('1e1000000') would build a million-digit integer first
+    # Fraction('1e1000000') would build a million-digit integer first; a
+    # limit of 0 (PYTHONINTMAXSTRDIGITS=0) means none
     _, _, exponent = text.lower().partition("e")
-    if exponent and abs(int(exponent)) > sys.get_int_max_str_digits():
+    if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
         raise ValueError("exponent beyond sys.set_int_max_str_digits()")  # _plain words it
     return Fraction(text)
 
@@ -231,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_table(args) -> int:
     table = build_table(GenusContext(args.genus))
-    if args.format == "tree":
-        sys.stdout.write(table.tree_text())
-    else:
-        sys.stdout.write(table.text())
+    sys.stdout.write(table.tree_text() if args.format == "tree" else table.text())
     return EXIT_OK
 
 

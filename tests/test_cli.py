@@ -252,6 +252,30 @@ def test_rejected_lattice_names_its_cause(capsys):
     assert "vanishing discriminant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["disc", "--genus", "1", "--lambda=1e2,1"],
+    ["rank", "--genus", "1", "--samples", "1", "--point", "1e2,1,1"],
+], ids=["lambda", "point"])
+def test_exponent_accepted_when_the_digit_limit_is_off(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]),
+               PYTHONINTMAXSTRDIGITS="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfield.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_short_unsupported_symbol_is_reported_whole(capsys):
+    code, _, err = run(capsys, "reduce", "--genus", "1", "p[1,1,1,1,1,1,1,1,1]")
+    assert code == EXIT_USAGE
+    assert err == (
+        "error: p[1,1,1,1,1,1,1,1,1] is outside the supported closure (only "
+        "two-index symbols and the 1-, 1,1-, 1,1,1-prefixed generators)\n"
+        "hint: closure under further differentiation is out of scope\n"
+    )
+
+
 def test_digit_limit_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
     proc = subprocess.run(
@@ -686,8 +710,8 @@ def argvs(draw):
 )
 def test_main_ends_in_a_documented_exit_code(case):
     argv, stdin = case
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+    out, err, batch = io.StringIO(), io.StringIO(), io.StringIO(stdin)
+    with mock.patch.object(sys, "stdin", batch), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
@@ -695,6 +719,6 @@ def test_main_ends_in_a_documented_exit_code(case):
             assert exc.code == EXIT_USAGE, (argv, err.getvalue())
             code = exc.code
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_NUMERIC), (argv, code)
-    if code == EXIT_USAGE:  # a short report for each rejected input
-        reports = max(1, stdin.count("\n"))
+    if code == EXIT_USAGE:  # one short report, or one per batch line read
+        reports = max(1, stdin.count("\n")) if batch.tell() else 1
         assert len(err.getvalue().encode()) < 400 * reports, err.getvalue()
