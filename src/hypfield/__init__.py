@@ -5,22 +5,75 @@ the curve parameters and of all two-index functions in the 3g generators,
 machine-verifies that those expressions reduce the defining equations of
 the ambient variety to zero, and backs the symbolic pipeline with genus-1
 Weierstrass numerics and exact Jacobian-rank experiments.
+
+Importing the package runs none of the engine.  Every engine module is in
+``sys.modules`` and on the package from the start, but its code runs on the
+first access to one of its attributes, so a process runs only the modules
+its work reaches: ``hypfield --version`` runs none, ``numeric`` only
+``weierstrass``, and only ``independence`` runs ``numerics1`` and so
+imports numpy.  The names in ``__all__`` resolve on first use.
 """
+
+import importlib.util
+import sys
+import threading
+import types
 
 __version__ = "0.1.0"
 
-from .relations import GenusContext
-from .rewriter import RelationTable, build_table, reduce_expr
-from .variety import p_eval, p_jacobian_rank, p_map, uniformize_check
+# public name -> the engine module that defines it
+_EXPORTS = {
+    "GenusContext": "relations",
+    "RelationTable": "rewriter",
+    "build_table": "rewriter",
+    "reduce_expr": "rewriter",
+    "uniformize_check": "variety",
+    "p_map": "variety",
+    "p_eval": "variety",
+    "p_jacobian_rank": "variety",
+}
+__all__ = [*_EXPORTS, "__version__"]
 
-__all__ = [
-    "GenusContext",
-    "RelationTable",
-    "build_table",
-    "reduce_expr",
-    "uniformize_check",
-    "p_map",
-    "p_eval",
-    "p_jacobian_rank",
-    "__version__",
-]
+_ENGINE = (
+    "polyring", "relations", "rewriter", "exprlang", "variety",
+    "exactmath", "curve", "weierstrass", "numerics1",
+)
+
+# Held while a module's code runs, which may run the modules it imports:
+# a thread that reaches a module meanwhile waits for all of it instead of
+# reading a half-filled namespace.
+_lock = threading.RLock()
+_running = set()  # modules whose code is running, on the thread holding _lock
+
+
+class _Lazy(types.ModuleType):
+    """An engine module whose code has not run.  Any attribute access but
+    ``__spec__``, which the import statement reads, runs it; the module
+    keeps this class until its code has finished, then becomes a plain
+    module.  If the code raises, the next access runs it again."""
+
+    def __getattribute__(self, name):
+        if name != "__spec__":
+            with _lock:
+                if type(self) is _Lazy and self not in _running:
+                    _running.add(self)
+                    try:
+                        spec = types.ModuleType.__getattribute__(self, "__spec__")
+                        spec.loader.exec_module(self)
+                        self.__class__ = types.ModuleType
+                    finally:
+                        _running.discard(self)
+        return types.ModuleType.__getattribute__(self, name)
+
+
+for _name in _ENGINE:
+    _module = importlib.util.module_from_spec(importlib.util.find_spec(f"{__name__}.{_name}"))
+    _module.__class__ = _Lazy  # after module_from_spec has set __name__, __file__, ...
+    sys.modules[f"{__name__}.{_name}"] = globals()[_name] = _module
+del _name, _module
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_EXPORTS[name]], name)

@@ -11,52 +11,17 @@ argument of any length is echoed as a short prefix.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import math
 import random
 import sys
 from fractions import Fraction
 
+# Engine modules are reached through their attributes: each runs on its
+# first use (see the package docstring), so a subcommand runs only what it
+# calls.  --version runs none, numeric only weierstrass, disc only curve and
+# what curve imports, and only independence imports numpy.
 from . import __version__
-from .curve import LambdaVector, discriminant
-from .exprlang import parse
-from .polyring import ExponentOverflow
-from .relations import GenusContext
-from .rewriter import (
-    DivisionByZeroPoly,
-    InternalInconsistency,
-    UnsupportedSymbol,
-    build_table,
-    format_fraction,
-    reduce_expr,
-)
-from .variety import (
-    p_eval,
-    p_jacobian_rank,
-    p_map,
-    random_rational_point,
-    uniformize_check,
-)
-
-# weierstrass (genus-1 functions) and numerics1 (the rank experiment, which
-# imports numpy) are registered in sys.modules and on the package now but
-# run on their first attribute access, so the exact subcommands execute
-# neither and only independence imports numpy.  A copy already imported is
-# reused, so there is only ever one set of their exception classes.
-def _lazy_module(name: str):
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-weierstrass, numerics1 = map(_lazy_module, ("weierstrass", "numerics1"))
+from . import curve, exprlang, numerics1, polyring, relations, rewriter, variety, weierstrass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,30 +46,36 @@ def _cut(message: str, width: int = 120) -> str:
     return f"{message[:width]}... (cut from {len(message)} characters)"
 
 
-# How a command's exception ends it: the first row whose class matches gives
-# the exit code and the text after "error: ", with {} for the exception's
-# own text.  Every input error the package raises subclasses ValueError, as
-# does Python's limit on int <-> str conversion of more than 4300 digits.
-# Anything else is a bug and propagates.
 _OUT_OF_SCOPE = "closure under further differentiation is out of scope"
-_EXITS = (
-    (DivisionByZeroPoly, EXIT_NUMERIC, "{}"),
-    (InternalInconsistency, EXIT_VERIFY, "{}"),
-    (ExponentOverflow, EXIT_USAGE, "{}"),
-    # the parser and the reducer recurse once per nesting level
-    (RecursionError, EXIT_USAGE, "expression nested too deeply"),
-    (UnsupportedSymbol, EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
-    (ValueError, EXIT_USAGE, "{}"),
-)
-_FAILURES = tuple(cls for cls, _, _ in _EXITS)
+
+
+def _exits() -> tuple:
+    """How a command's exception ends it: the first row whose class matches
+    gives the exit code and the text after "error: ", with {} for the
+    exception's own text.  Every input error the package raises subclasses
+    ValueError, as does Python's limit on int <-> str conversion of more than
+    4300 digits.  Anything else is a bug and propagates.  A function, so the
+    engine's classes are looked up only when an exception is mapped."""
+    return (
+        (rewriter.DivisionByZeroPoly, EXIT_NUMERIC, "{}"),
+        (rewriter.InternalInconsistency, EXIT_VERIFY, "{}"),
+        (polyring.ExponentOverflow, EXIT_USAGE, "{}"),
+        # the parser and the reducer recurse once per nesting level
+        (RecursionError, EXIT_USAGE, "expression nested too deeply"),
+        (rewriter.UnsupportedSymbol, EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
+        (ValueError, EXIT_USAGE, "{}"),
+    )
 
 
 def _report(exc: Exception) -> int:
-    """Print ``exc`` under the ``error:`` prefix and return its exit code."""
-    code, form = next((code, form) for cls, code, form in _EXITS if isinstance(exc, cls))
-    # no usage line above it, so it may run longer than argparse's errors
-    print("error: " + form.format(_cut(_plain(exc), 240)), file=sys.stderr)
-    return code
+    """Print ``exc`` under the ``error:`` prefix and return its exit code;
+    re-raise it if no row of ``_exits()`` matches."""
+    for cls, code, form in _exits():
+        if isinstance(exc, cls):
+            # no usage line above it, so it may run longer than argparse's errors
+            print("error: " + form.format(_cut(_plain(exc), 240)), file=sys.stderr)
+            return code
+    raise exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_table(args) -> int:
-    table = build_table(GenusContext(args.genus))
+    table = rewriter.build_table(relations.GenusContext(args.genus))
     sys.stdout.write(table.tree_text() if args.format == "tree" else table.text())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    ctx = GenusContext(args.genus)
-    report = uniformize_check(ctx, build_table(ctx))
+    ctx = relations.GenusContext(args.genus)
+    report = variety.uniformize_check(ctx, rewriter.build_table(ctx))
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -250,12 +221,12 @@ def cmd_verify(args) -> int:
 
 
 def _reduce_one(ctx, table, text: str) -> None:
-    print(format_fraction(*reduce_expr(ctx, table, parse(text, ctx))))
+    print(rewriter.format_fraction(*rewriter.reduce_expr(ctx, table, exprlang.parse(text, ctx))))
 
 
 def cmd_reduce(args) -> int:
-    ctx = GenusContext(args.genus)
-    table = build_table(ctx)
+    ctx = relations.GenusContext(args.genus)
+    table = rewriter.build_table(ctx)
     if args.expression is not None:
         _reduce_one(ctx, table, args.expression)
         return EXIT_OK
@@ -268,19 +239,19 @@ def cmd_reduce(args) -> int:
             continue
         try:
             _reduce_one(ctx, table, line)
-        except _FAILURES as exc:
+        except Exception as exc:
             code = _report(exc)
             status = status or code
     return status
 
 
 def cmd_rank(args) -> int:
-    ctx = GenusContext(args.genus)
-    table = build_table(ctx)
-    pm = p_map(table)
+    ctx = relations.GenusContext(args.genus)
+    table = rewriter.build_table(ctx)
+    pm = variety.p_map(table)
     if args.point is not None:
-        rank = p_jacobian_rank(pm, args.point)
-        values = p_eval(pm, args.point)
+        rank = variety.p_jacobian_rank(pm, args.point)
+        values = variety.p_eval(pm, args.point)
         print("lambda = " + ",".join(map(str, values)))
         print(f"rank {rank}")
         return EXIT_OK
@@ -288,16 +259,16 @@ def cmd_rank(args) -> int:
     target = 2 * args.genus
     hits = 0
     for _ in range(args.samples):
-        point = random_rational_point(args.genus, rng)
-        if p_jacobian_rank(pm, point) == target:
+        point = variety.random_rational_point(args.genus, rng)
+        if variety.p_jacobian_rank(pm, point) == target:
             hits += 1
-    origin_rank = p_jacobian_rank(pm, [Fraction(0)] * (3 * args.genus))
+    origin_rank = variety.p_jacobian_rank(pm, [Fraction(0)] * (3 * args.genus))
     print(f"rank {target} at {hits}/{args.samples} points; rank {origin_rank} at origin")
     return EXIT_OK
 
 
 def cmd_disc(args) -> int:
-    d = discriminant(LambdaVector.from_sequence(args.genus, args.lambda_values))
+    d = curve.discriminant(curve.LambdaVector.from_sequence(args.genus, args.lambda_values))
     membership = "IN" if d == 0 else "NOT IN"  # in_sigma's test, on d already computed
     print(f"disc = {d}; lambda {membership} Sigma_g")
     return EXIT_OK
@@ -358,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _FAILURES as exc:
+    except Exception as exc:
         return _report(exc)
 
 

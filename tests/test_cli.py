@@ -54,7 +54,7 @@ def test_verify_corruption_hook_fails(capsys, monkeypatch):
         table = build_table(ctx)
         return table._replace(lam={**table.lam, 4: table.lam[4] + Poly.one()})
 
-    monkeypatch.setattr("hypfield.cli.build_table", corrupted)
+    monkeypatch.setattr("hypfield.rewriter.build_table", corrupted)
     code, out, err = run(capsys, "verify", "--genus", "1")
     assert code == EXIT_VERIFY
     assert "NONZERO" in out
@@ -171,11 +171,22 @@ def test_internal_inconsistency_is_a_verification_failure(capsys, monkeypatch, a
     def inconsistent(ctx):
         raise InternalInconsistency("forced cancellation failed")
 
-    monkeypatch.setattr("hypfield.cli.build_table", inconsistent)
+    monkeypatch.setattr("hypfield.rewriter.build_table", inconsistent)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_VERIFY
     assert out == ""
     assert err == "error: forced cancellation failed\n"
+
+
+def test_an_exception_no_exit_maps_is_a_bug_and_propagates(monkeypatch):
+    def broken(*args):
+        raise KeyError("a bug")
+
+    # through the stdin batch's handler, then main's
+    monkeypatch.setattr("hypfield.rewriter.reduce_expr", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO("la4\n"))
+    with pytest.raises(KeyError):
+        main(["reduce", "--genus", "1"])
 
 
 # Python refuses int <-> str conversions of more than 4300 digits
@@ -450,8 +461,10 @@ loaded = {name: name in sys.modules for name in %r}
 import json
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
-    # a lazily loaded module turns into a plain module once it has run
-    "weierstrass": type(sys.modules["hypfield.weierstrass"]) is types.ModuleType,
+    # an engine module turns into a plain module once its code has run
+    "ran": sorted(name.removeprefix("hypfield.") for name, module in sys.modules.items()
+                  if name.startswith("hypfield.") and name != "hypfield.cli"
+                  and type(module) is types.ModuleType),
     "loaded": loaded,
     "out": out.getvalue(),
 }))
@@ -460,7 +473,7 @@ print(json.dumps({
 
 def startup_probe(*argvs):
     """Run ``argvs`` through ``main`` in one fresh process; report whether
-    numpy was imported, whether weierstrass ran, which of ``LEAN`` were
+    numpy was imported, which engine modules ran, which of ``LEAN`` were
     imported, and the joined stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
     proc = subprocess.run(
@@ -481,7 +494,7 @@ def test_exact_subcommands_never_import_numpy():
         "--version",
     )
     assert not probe["numpy"]
-    assert not probe["weierstrass"]
+    assert "weierstrass" not in probe["ran"]
     assert not any(probe["loaded"].values()), probe["loaded"]
 
 
@@ -491,6 +504,7 @@ def test_exact_subcommands_never_import_numpy():
 def test_numeric_never_imports_numpy(argv):
     probe = startup_probe(argv)
     assert not probe["numpy"]
+    assert probe["ran"] == ["weierstrass"]
     assert not any(probe["loaded"].values()), probe["loaded"]
     assert probe["out"].endswith("PASS\n")
 
@@ -505,8 +519,49 @@ def test_independence_imports_numpy():
     # at weight <= 6 are full rank and the control finds the cubic
     probe = startup_probe("independence --lattices 3 --samples 30 --weight-bound 6")
     assert probe["numpy"]
+    assert probe["ran"] == ["numerics1", "weierstrass"]
     assert probe["out"].splitlines()[4] == "verdict: FULL RANK"
     assert "verdict: DEFICIENCY 1" in probe["out"]
+
+
+@pytest.mark.parametrize("argvs, ran", [
+    (["--version"], []),
+    (["disc --genus 2 --lambda 1,2,3,4"], ["curve", "exactmath", "polyring", "relations"]),
+    (
+        ["table --genus 2", "reduce --genus 2 p[1,1]*p[1,3]"],
+        ["exprlang", "polyring", "relations", "rewriter"],
+    ),
+], ids=["version", "disc", "table-reduce"])
+def test_subcommands_run_only_the_engine_modules_they_use(argvs, ran):
+    probe = startup_probe(*argvs)
+    assert probe["ran"] == ran
+    assert not any(probe["loaded"].values()), probe["loaded"]
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err", [
+    (["numeric", "--samples", "10001"], None, EXIT_USAGE, "",
+     "error: 10001 samples is above the cap of 10000\n"),
+    (["table", "--genus", "x"], None, EXIT_USAGE, "",
+     "hypfield table: error: argument --genus: must be an integer >= 1, got 'x'\n"),
+    (["numeric", "--lattice", "1,0,0,100"], None, EXIT_USAGE, "",
+     "hypfield numeric: error: argument --lattice: vanishing discriminant, got '1,0,0,100'\n"),
+    (["reduce", "--genus", "1"], "p[1,1]\np[1,\n1/p[1,1]\n", EXIT_USAGE,
+     "b1_1\n(1) / (b1_1)\n", "error: unexpected end of input (at position 4)\n"),
+    (["reduce", "--genus", "1"], "p[1,1]\nla4/0\n1/p[1,1]\n", EXIT_NUMERIC,
+     "b1_1\n(1) / (b1_1)\n", "error: denominator reduced to the zero polynomial\n"),
+], ids=["samples-cap", "argparse", "degenerate-lattice", "reduce-syntax", "reduce-zero"])
+def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err):
+    """A fresh process: the exception classes that map an error to its exit
+    code belong to engine modules that may not have run yet."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfield.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert proc.stderr.endswith(err)
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_from_argparse():
@@ -584,17 +639,16 @@ def test_bad_input_is_a_usage_error(capsys, argv):
 
 
 def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
-    import hypfield.cli as cli
+    import hypfield.curve as curve
 
     calls = []
-    real = cli.discriminant
+    real = curve.discriminant
 
     def counting(lv):
         calls.append(lv)
         return real(lv)
 
-    # patched in both namespaces, so a call through curve.in_sigma counts too
-    monkeypatch.setattr(cli, "discriminant", counting)
+    # the command and curve.in_sigma both call it through curve's namespace
     monkeypatch.setattr("hypfield.curve.discriminant", counting)
     code, out, _ = run(capsys, "disc", "--genus", "1", "--lambda=-3,2")
     assert code == EXIT_OK

@@ -1,0 +1,112 @@
+"""The package's engine modules run on first use: each test starts a fresh
+process, in which importing the package has run none of them yet."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import hypfield
+from hypfield.polyring import Poly, b1
+from hypfield.relations import GenusContext
+from hypfield.weierstrass import LatticeContext
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+
+# the engine modules that have run: each turns into a plain module then
+RAN = """
+import sys, types
+def ran():
+    return sorted(n.removeprefix("hypfield.") for n, m in sys.modules.items()
+                  if n.startswith("hypfield.") and n != "hypfield.cli"
+                  and type(m) is types.ModuleType)
+"""
+
+
+def fresh(source: str, stdin: bytes = b"") -> bytes:
+    """Stdout of ``source`` run in a new interpreter; it must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RAN + source],
+        input=stdin, capture_output=True, env=ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+FIRST_USE_IN_THREADS = """
+import threading
+import hypfield.cli
+sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+barrier = threading.Barrier(4)
+tables, failures = [], []
+
+def first_use():
+    try:
+        barrier.wait(timeout=60)
+        from hypfield.weierstrass import LatticeContext
+        LatticeContext(1, 1j)
+        from hypfield.relations import GenusContext
+        from hypfield.rewriter import build_table
+        tables.append(build_table(GenusContext(2)).text())
+    except Exception as exc:
+        failures.append(repr(exc))
+
+threads = [threading.Thread(target=first_use) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+assert not failures, failures
+assert len(tables) == 4 and len(set(tables)) == 1
+print("ok")
+"""
+
+
+def test_first_use_from_four_threads_at_once():
+    """Threads that reach a module while its code runs wait for all of it
+    instead of reading a half-filled namespace."""
+    assert fresh(FIRST_USE_IN_THREADS) == b"ok\n"
+
+
+LIBRARY = """
+import hypfield
+assert ran() == []
+from hypfield import GenusContext, build_table, uniformize_check, reduce_expr
+
+ctx = GenusContext(2)
+table = build_table(ctx)
+report = uniformize_check(ctx, table)
+assert report.passed
+for name in hypfield.__all__:
+    assert getattr(hypfield, name) is not None, name
+print(" ".join(ran()))
+"""
+
+
+def test_readme_library_example_and_every_public_name():
+    out = fresh(LIBRARY).decode().split()
+    assert out == ["exactmath", "polyring", "relations", "rewriter", "variety"]
+
+
+UNPICKLE = """
+import pickle
+import hypfield
+assert ran() == []
+objects = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.buffer.write(pickle.dumps((objects, [str(x) for x in objects])))
+"""
+
+
+def test_pickles_load_in_a_process_that_only_imported_the_package():
+    x = Poly.symbol(b1(1))
+    objects = (
+        Fraction(3, 7) * x ** 2 - 1,
+        GenusContext(3),
+        LatticeContext(1 + 0.1j, 0.3 + 1.1j),
+    )
+    got, texts = pickle.loads(fresh(UNPICKLE, pickle.dumps(objects)))
+    assert got == objects
+    assert texts == [str(obj) for obj in objects]
