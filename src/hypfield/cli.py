@@ -11,6 +11,7 @@ argument of any length is echoed as a short prefix.
 from __future__ import annotations
 
 import argparse
+import builtins
 import math
 import random
 import sys
@@ -20,7 +21,7 @@ from fractions import Fraction
 # first use (see the package docstring), so a subcommand runs only what it
 # calls.  --version runs none, numeric only weierstrass, disc only curve and
 # what curve imports, and only independence imports numpy.
-from . import __version__
+from . import __version__, _has_run
 from . import curve, exprlang, numerics1, polyring, relations, rewriter, variety, weierstrass
 
 EXIT_OK = 0
@@ -49,29 +50,33 @@ def _cut(message: str, width: int = 120) -> str:
 _OUT_OF_SCOPE = "closure under further differentiation is out of scope"
 
 
-def _exits() -> tuple:
-    """How a command's exception ends it: the first row whose class matches
-    gives the exit code and the text after "error: ", with {} for the
-    exception's own text.  Every input error the package raises subclasses
-    ValueError, as does Python's limit on int <-> str conversion of more than
-    4300 digits.  Anything else is a bug and propagates.  A function, so the
-    engine's classes are looked up only when an exception is mapped."""
-    return (
-        (rewriter.DivisionByZeroPoly, EXIT_NUMERIC, "{}"),
-        (rewriter.InternalInconsistency, EXIT_VERIFY, "{}"),
-        (polyring.ExponentOverflow, EXIT_USAGE, "{}"),
-        # the parser and the reducer recurse once per nesting level
-        (RecursionError, EXIT_USAGE, "expression nested too deeply"),
-        (rewriter.UnsupportedSymbol, EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
-        (ValueError, EXIT_USAGE, "{}"),
-    )
+def _is(exc: Exception, module, name: str) -> bool:
+    """``isinstance(exc, module.name)``, which is False without a look if
+    ``module``'s code has not run, so mapping an error runs no module."""
+    return _has_run(module) and isinstance(exc, getattr(module, name))
+
+
+# How a command's exception ends it: the first row whose class matches gives
+# the exit code and the text after "error: ", with {} for the exception's own
+# text.  Every input error the package raises subclasses ValueError, as does
+# Python's limit on int <-> str conversion of more than 4300 digits.
+# Anything else is a bug and propagates.
+_EXITS = (
+    (rewriter, "DivisionByZeroPoly", EXIT_NUMERIC, "{}"),
+    (rewriter, "InternalInconsistency", EXIT_VERIFY, "{}"),
+    (polyring, "ExponentOverflow", EXIT_USAGE, "{}"),
+    # the parser and the reducer recurse once per nesting level
+    (builtins, "RecursionError", EXIT_USAGE, "expression nested too deeply"),
+    (rewriter, "UnsupportedSymbol", EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
+    (builtins, "ValueError", EXIT_USAGE, "{}"),
+)
 
 
 def _report(exc: Exception) -> int:
     """Print ``exc`` under the ``error:`` prefix and return its exit code;
-    re-raise it if no row of ``_exits()`` matches."""
-    for cls, code, form in _exits():
-        if isinstance(exc, cls):
+    re-raise it if no row of ``_EXITS`` matches."""
+    for module, name, code, form in _EXITS:
+        if _is(exc, module, name):
             # no usage line above it, so it may run longer than argparse's errors
             print("error: " + form.format(_cut(_plain(exc), 240)), file=sys.stderr)
             return code
@@ -98,10 +103,9 @@ def _arg(reason: str, convert, accept=lambda value: True):
             if accept(value):
                 return value
             cause = reason
-        except weierstrass.DegenerateLattice as exc:
-            cause = str(exc)
         except (ValueError, ArithmeticError) as exc:
-            cause = _plain(exc, reason)
+            own = _is(exc, weierstrass, "DegenerateLattice")
+            cause = str(exc) if own else _plain(exc, reason)
         raise argparse.ArgumentTypeError(f"{cause}, got {text!r}")
 
     return parse

@@ -24,12 +24,12 @@ Maple 14", 2009), so a monomial product is one integer addition:
 A symbol gets the next free field the first time any polynomial uses it, so
 the layout depends on the order of first use within a process.  Nothing
 outside this module sees it: callers go through ``Poly(terms)``,
-``Poly.symbol``, ``sorted_terms``, ``coeff``, ``symbols`` and
-``strip_common_monomial``, which speak in symbols and ``(Symbol, exponent)``
-tuples, and pickling stores that symbolic form.  Each exponent is at most
-``MAX_EXPONENT`` (32,767); a sum of two exponents below the cap never
-carries out of its field, and a product or power that sets a guard bit
-raises ``ExponentOverflow`` instead of wrapping.
+``Poly.symbol``, ``Poly.sum_of_products``, ``sorted_terms``, ``coeff``,
+``symbols``, ``evaluate_all`` and ``strip_common_monomial``, which speak in
+symbols and ``(Symbol, exponent)`` tuples, and pickling stores that symbolic
+form.  Each exponent is at most ``MAX_EXPONENT`` (32,767); a sum of two
+exponents below the cap never carries out of its field, and a product or
+power that sets a guard bit raises ``ExponentOverflow`` instead of wrapping.
 
 ``Poly.terms`` maps each packed monomial to an int numerator over the one
 positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
 
@@ -108,24 +108,32 @@ class Symbol(tuple):
         return self.name
 
 
+# The named constructors intern: each returns one shared, already validated
+# Symbol per name, so building a relation validates none of its symbols.
+
+@cache
 def b1(k: int) -> Symbol:
     return Symbol("b1", (k,))
 
 
+@cache
 def b2(k: int) -> Symbol:
     return Symbol("b2", (k,))
 
 
+@cache
 def b3(k: int) -> Symbol:
     return Symbol("b3", (k,))
 
 
+@cache
 def w(k: int, l: int) -> Symbol:
     if k > l:
-        k, l = l, k
+        return w(l, k)
     return Symbol("w", (k, l))
 
 
+@cache
 def la(s: int) -> Symbol:
     return Symbol("la", (s,))
 
@@ -280,6 +288,28 @@ class Poly:
     @classmethod
     def symbol(cls, sym: Symbol) -> "Poly":
         return _poly({_UNITS[_field(sym)]: 1})
+
+    @classmethod
+    def sum_of_products(cls, products) -> "Poly":
+        """The sum of ``c * s1 * s2 * ...`` over ``(c, s1, s2, ...)`` tuples
+        with an int ``c`` and Symbols ``s1, s2, ...``.
+
+        Each product goes straight into one packed monomial over
+        denominator 1: no factor becomes a ``Poly`` of its own."""
+        out = {}
+        get = out.get
+        for c, *syms in products:
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient must be an int, got {c!r}")
+            m = 0
+            for sym in syms:
+                m += _UNITS[_field(sym)]
+            # a guard bit is set once a symbol repeats more than MAX_EXPONENT
+            # times; the field could wrap past it only at 2**16 factors
+            if m & _guard or len(syms) >> _FIELD_BITS:
+                raise ExponentOverflow(f"a product raises an exponent above {MAX_EXPONENT}")
+            out[m] = get(m, 0) + c
+        return _poly(out)
 
     # ring operations ------------------------------------------------------
 
@@ -460,18 +490,10 @@ class Poly:
                 out[m] = get(m, 0) + v * scale
         return _poly(out, den * self.den)
 
-    def evaluate(self, env: dict):
-        """Numeric evaluation; env must cover every symbol of the polynomial.
-
-        Works for any coefficient-compatible scalar type (Fraction, complex).
-        """
-        total = None
-        for mono, c in self.terms.items():
-            val = c
-            for i, e in _factors(mono):
-                val = val * env[_SYMS[i]] ** e
-            total = val if total is None else total + val
-        return Fraction(0) if total is None else total / Fraction(self.den)
+    def evaluate(self, env: dict) -> Fraction:
+        """The value at a rational point: ``env`` maps every symbol of the
+        polynomial to an int or Fraction (see ``evaluate_all``)."""
+        return evaluate_all([self], env)[0]
 
     def diff(self, sym: Symbol) -> "Poly":
         """Partial derivative with respect to one symbol, termwise."""
@@ -530,6 +552,40 @@ def strip_common_monomial(num: Poly, den: Poly):
         return _poly({m - common: c for m, c in p.terms.items()}, p.den)
 
     return divide(num), divide(den)
+
+
+def evaluate_all(polys, env: dict) -> list:
+    """The value of each polynomial at a rational point, as Fractions.
+
+    ``env`` maps every symbol of the polynomials to an int or Fraction.
+    The point is written over one common denominator D, so a term of degree
+    d is an integer over D**d: each power of a numerator is taken once for
+    all the polynomials, a polynomial's terms are summed in integers over
+    D**(its top degree), and each value makes one Fraction at the end."""
+    point = {sym: Fraction(x) for sym, x in env.items()}
+    den = lcm(*(x.denominator for x in point.values()))
+    nums = {}  # field -> numerator over den
+    powers = {}  # (field, exponent) -> numerator ** exponent
+    values = []
+    for p in polys:
+        sums = {}  # degree -> sum of the terms of that degree
+        for mono, c in p.terms.items():
+            d = 0
+            for i, e in _factors(mono):
+                power = powers.get((i, e))
+                if power is None:
+                    n = nums.get(i)
+                    if n is None:
+                        x = point[_SYMS[i]]
+                        n = nums[i] = x.numerator * (den // x.denominator)
+                    power = powers[i, e] = n**e
+                c *= power
+                d += e
+            sums[d] = sums.get(d, 0) + c
+        top = max(sums, default=0)
+        total = sum(v * den ** (top - d) for d, v in sums.items())
+        values.append(Fraction(total, p.den * den**top))
+    return values
 
 
 MIXED = None  # sentinel returned by homogeneous_weight for mixed-weight input

@@ -3,11 +3,14 @@
 Every relation is represented as a left-minus-right residual polynomial, so
 "reduces to zero" is the single verification predicate used everywhere
 downstream.  The two-index cutoff (symbols with an index >= 2g+1 vanish) and
-the Kronecker-delta bookkeeping live here.
+the Kronecker-delta bookkeeping live here.  A BEL1 or BEL2 residual is a list
+of ``(int coefficient, symbol, ...)`` products summed by one
+``Poly.sum_of_products`` call.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .polyring import Poly, XiSeries, b1, b2, b3, la, w
@@ -67,68 +70,69 @@ def _check_odd_index(ctx: GenusContext, i: int):
         raise IndexOutOfRange(f"index {i} not odd in 1..{2 * ctx.g - 1}")
 
 
-def pp_symbol(ctx: GenusContext, k: int, l: int) -> Poly:
-    """Two-index function as a polynomial: cutoff, symmetry and naming.
-
-    Returns 0 when either index reaches 2g+1, the b1 generator when the
-    smaller index is 1, and the canonical w symbol otherwise.
-    """
+def _two_index(ctx: GenusContext, k: int, l: int):
+    """The symbol of the two-index function at (k, l), or None where the
+    cutoff makes it vanish: either index at 2g+1 or above.  The b1 generator
+    when the smaller index is 1, the canonical w symbol otherwise."""
     if k < 1 or l < 1 or k % 2 == 0 or l % 2 == 0:
         raise IndexOutOfRange(f"two-index arguments must be odd positive, got ({k},{l})")
     if k >= 2 * ctx.g + 1 or l >= 2 * ctx.g + 1:
-        return Poly.zero()
+        return None
     a, c = min(k, l), max(k, l)
-    if a == 1:
-        return Poly.symbol(b1(c))
-    return Poly.symbol(w(a, c))
+    return b1(c) if a == 1 else w(a, c)
+
+
+def pp_symbol(ctx: GenusContext, k: int, l: int) -> Poly:
+    """Two-index function as a polynomial, 0 where the cutoff applies."""
+    sym = _two_index(ctx, k, l)
+    return Poly.zero() if sym is None else Poly.symbol(sym)
+
+
+def _residual(products: list) -> Poly:
+    """The sum of ``(c, symbol, ...)`` products; a product with a two-index
+    factor cut to zero (None) is dropped."""
+    return Poly.sum_of_products(p for p in products if None not in p)
 
 
 def bel1(ctx: GenusContext, i: int) -> Poly:
     """Residual of the first relation family at odd index i."""
     _check_odd_index(ctx, i)
-    res = (
-        Poly.symbol(b3(i))
-        - 6 * Poly.symbol(b1(1)) * Poly.symbol(b1(i))
-        + 2 * pp_symbol(ctx, 3, i)
-        - 6 * pp_symbol(ctx, 1, i + 2)
-    )
+    pp = partial(_two_index, ctx)
+    products = [(1, b3(i)), (-6, b1(1), b1(i)), (2, pp(3, i)), (-6, pp(1, i + 2))]
     if i == 1:
-        res = res - 2 * Poly.symbol(la(4))
-    return res
+        products.append((-2, la(4)))
+    return _residual(products)
 
 
 def bel2(ctx: GenusContext, i: int, j: int) -> Poly:
-    """Residual of the second (quadratic) relation family at (i, j)."""
+    """Residual of the second (quadratic) relation family at (i, j):
+    b2_i b2_j minus its right-hand side."""
     _check_odd_index(ctx, i)
     _check_odd_index(ctx, j)
-    p1i = Poly.symbol(b1(i))
-    p1j = Poly.symbol(b1(j))
-    rhs = (
-        4 * Poly.symbol(b1(1)) * p1i * p1j
-        + 4 * pp_symbol(ctx, 1, i + 2) * p1j
-        + 4 * p1i * pp_symbol(ctx, 1, j + 2)
-        - 2 * pp_symbol(ctx, 3, i) * p1j
-        - 2 * p1i * pp_symbol(ctx, 3, j)
-        - 2
-        * (
-            pp_symbol(ctx, i + 4, j)
-            - 2 * pp_symbol(ctx, i + 2, j + 2)
-            + pp_symbol(ctx, i, j + 4)
-        )
-    )
-    delta_la4 = Poly.zero()
+    pp = partial(_two_index, ctx)
+    b1i, b1j = b1(i), b1(j)
+    products = [
+        (1, b2(i), b2(j)),
+        (-4, b1(1), b1i, b1j),
+        (-4, pp(1, i + 2), b1j),
+        (-4, b1i, pp(1, j + 2)),
+        (2, pp(3, i), b1j),
+        (2, b1i, pp(3, j)),
+        (2, pp(i + 4, j)),
+        (-4, pp(i + 2, j + 2)),
+        (2, pp(i, j + 4)),
+    ]
     if i == 1:
-        delta_la4 = delta_la4 + p1j
+        products.append((-2, la(4), b1j))
     if j == 1:
-        delta_la4 = delta_la4 + p1i
-    rhs = rhs + 2 * Poly.symbol(la(4)) * delta_la4
-    factor = 2 * (1 if i == j else 0) + (1 if i - 2 == j else 0) + (1 if i == j - 2 else 0)
+        products.append((-2, la(4), b1i))
+    factor = 2 * (i == j) + (i - 2 == j) + (i == j - 2)
     if factor:
         s = i + j + 4
         # the delta factor vanishes unless |i-j| <= 2, which keeps s <= 4g+2
         assert s in ctx.lambda_indices, (i, j, s)
-        rhs = rhs + 2 * factor * Poly.symbol(la(s))
-    return Poly.symbol(b2(i)) * Poly.symbol(b2(j)) - rhs
+        products.append((-2 * factor, la(s)))
+    return _residual(products)
 
 
 def generator_series(ctx: GenusContext, level: int) -> XiSeries:

@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import rank_exact
-from .polyring import Poly, b1, b2, b3, homogeneous_weight
+from . import exactmath  # reached through the module: only rank runs it
+from .polyring import Poly, b1, b2, b3, evaluate_all, homogeneous_weight
 from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
 
@@ -120,14 +120,14 @@ def _point_env(pm: PMap, point: Sequence) -> dict:
 
 def p_eval(pm: PMap, point: Sequence) -> list:
     """Exact evaluation of the parameter polynomials at a rational point."""
-    env = _point_env(pm, point)
-    return [comp.evaluate(env) for _, comp in pm.components]
+    return evaluate_all([comp for _, comp in pm.components], _point_env(pm, point))
 
 
 def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
     """Exact rank of the Jacobian of the parameter map at a rational point."""
-    env = _point_env(pm, point)
-    return rank_exact([[e.evaluate(env) for e in row] for row in pm.jacobian])
+    values = evaluate_all([e for row in pm.jacobian for e in row], _point_env(pm, point))
+    n = 3 * pm.genus  # one column per generator
+    return exactmath.rank_exact([values[r : r + n] for r in range(0, len(values), n)])
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

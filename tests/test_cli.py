@@ -445,6 +445,12 @@ def test_independence_too_many_columns_exits_fast():
 # table --format tree); a bare interpreter imports none of them
 LEAN = ("dataclasses", "inspect", "json", "string")
 
+# the engine modules whose code has run: a module turns into a plain module
+# once it has
+RAN = """sorted(name.removeprefix("hypfield.") for name, module in sys.modules.items()
+             if name.startswith("hypfield.") and name != "hypfield.cli"
+             and type(module) is types.ModuleType)"""
+
 STARTUP_PROBE = """
 import contextlib, io, sys, types
 import hypfield.cli
@@ -461,14 +467,11 @@ loaded = {name: name in sys.modules for name in %r}
 import json
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
-    # an engine module turns into a plain module once its code has run
-    "ran": sorted(name.removeprefix("hypfield.") for name, module in sys.modules.items()
-                  if name.startswith("hypfield.") and name != "hypfield.cli"
-                  and type(module) is types.ModuleType),
+    "ran": %s,
     "loaded": loaded,
     "out": out.getvalue(),
 }))
-""" % (LEAN,)
+""" % (LEAN, RAN)
 
 
 def startup_probe(*argvs):
@@ -531,35 +534,60 @@ def test_independence_imports_numpy():
         ["table --genus 2", "reduce --genus 2 p[1,1]*p[1,3]"],
         ["exprlang", "polyring", "relations", "rewriter"],
     ),
-], ids=["version", "disc", "table-reduce"])
+    (["verify --genus 2"], ["polyring", "relations", "rewriter", "variety"]),
+    (
+        ["rank --genus 2 --samples 2"],
+        ["exactmath", "polyring", "relations", "rewriter", "variety"],
+    ),
+], ids=["version", "disc", "table-reduce", "verify", "rank"])
 def test_subcommands_run_only_the_engine_modules_they_use(argvs, ran):
     probe = startup_probe(*argvs)
     assert probe["ran"] == ran
     assert not any(probe["loaded"].values()), probe["loaded"]
 
 
-@pytest.mark.parametrize("argv, stdin, code, out, err", [
+# ``python -m hypfield.cli``, then the engine modules that ran as one more
+# stdout line
+ERROR_PROBE = """
+import json, sys, types
+import hypfield.cli
+try:
+    code = hypfield.cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse's usage errors
+    code = exc.code
+print(json.dumps(%s))
+sys.exit(code)
+""" % (RAN,)
+
+REDUCER = ["exprlang", "polyring", "relations", "rewriter"]
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err, ran", [
     (["numeric", "--samples", "10001"], None, EXIT_USAGE, "",
-     "error: 10001 samples is above the cap of 10000\n"),
+     "error: 10001 samples is above the cap of 10000\n", ["weierstrass"]),
     (["table", "--genus", "x"], None, EXIT_USAGE, "",
-     "hypfield table: error: argument --genus: must be an integer >= 1, got 'x'\n"),
+     "hypfield table: error: argument --genus: must be an integer >= 1, got 'x'\n", []),
     (["numeric", "--lattice", "1,0,0,100"], None, EXIT_USAGE, "",
-     "hypfield numeric: error: argument --lattice: vanishing discriminant, got '1,0,0,100'\n"),
+     "hypfield numeric: error: argument --lattice: vanishing discriminant, got '1,0,0,100'\n",
+     ["weierstrass"]),
     (["reduce", "--genus", "1"], "p[1,1]\np[1,\n1/p[1,1]\n", EXIT_USAGE,
-     "b1_1\n(1) / (b1_1)\n", "error: unexpected end of input (at position 4)\n"),
+     "b1_1\n(1) / (b1_1)\n", "error: unexpected end of input (at position 4)\n", REDUCER),
     (["reduce", "--genus", "1"], "p[1,1]\nla4/0\n1/p[1,1]\n", EXIT_NUMERIC,
-     "b1_1\n(1) / (b1_1)\n", "error: denominator reduced to the zero polynomial\n"),
+     "b1_1\n(1) / (b1_1)\n", "error: denominator reduced to the zero polynomial\n", REDUCER),
 ], ids=["samples-cap", "argparse", "degenerate-lattice", "reduce-syntax", "reduce-zero"])
-def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err):
+def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err, ran):
     """A fresh process: the exception classes that map an error to its exit
-    code belong to engine modules that may not have run yet."""
+    code belong to engine modules that may not have run yet, and mapping
+    the error runs none of them."""
     env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "hypfield.cli", *argv],
+        [sys.executable, "-c", ERROR_PROBE, *argv],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == code
-    assert proc.stdout == out
+    *printed, ran_line = proc.stdout.splitlines(keepends=True)
+    assert "".join(printed) == out
+    assert json.loads(ran_line) == ran
     assert proc.stderr.endswith(err)
     assert "Traceback" not in proc.stderr
 

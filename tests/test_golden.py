@@ -10,6 +10,10 @@ every byte of these outputs.
 ``SYMBOLIC_DISC_G3`` is the SHA-256 of ``str(symbolic_discriminant(
 GenusContext(3))) + "\n"``, captured while the discriminant was still the
 determinant of the Sylvester matrix of f and f'.
+
+``RANK_G8`` is the SHA-256 of the stdout of ``python -m hypfield.cli rank
+--genus 8 --samples 20 --seed 0``, captured while every Jacobian entry was
+evaluated on its own in Fraction arithmetic.
 """
 
 import hashlib
@@ -41,6 +45,8 @@ GOLDEN = {
 
 SYMBOLIC_DISC_G3 = "7b24fb2f6b1387e9695bd04dbba589b2884f2a18bab5ca507864dabfba55b213"
 
+RANK_G8 = "64110b20c9c1c82db90d9c594c94e9b9b2c1406fe7f5d9fafeff23ed09261607"
+
 
 @pytest.mark.parametrize("command,genus", sorted(GOLDEN, key=lambda k: (k[1], k[0])))
 def test_output_digest(capsys, command, genus):
@@ -53,3 +59,10 @@ def test_output_digest(capsys, command, genus):
 def test_symbolic_discriminant_digest():
     text = str(symbolic_discriminant(GenusContext(3))) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_DISC_G3
+
+
+def test_rank_digest(capsys):
+    code = main(["rank", "--genus", "8", "--samples", "20", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK_G8

@@ -88,7 +88,8 @@ print(" ".join(ran()))
 
 def test_readme_library_example_and_every_public_name():
     out = fresh(LIBRARY).decode().split()
-    assert out == ["exactmath", "polyring", "relations", "rewriter", "variety"]
+    # exactmath runs only for ranks, which the example does not take
+    assert out == ["polyring", "relations", "rewriter", "variety"]
 
 
 UNPICKLE = """

@@ -32,6 +32,7 @@ from hypfield.polyring import (
     b1,
     b2,
     b3,
+    evaluate_all,
     homogeneous_weight,
     la,
     mono_weight,
@@ -307,6 +308,49 @@ def test_arithmetic_matches_oracle(a, b, n):
 def test_evaluate_matches_oracle(a, values):
     point = dict(zip(WIDE_SYMS, values))
     assert Poly(a).evaluate(point) == ref_evaluate(a, point)
+
+
+@given(
+    st.lists(ref_polys(wide_exps), max_size=4),
+    st.lists(st.sampled_from([-1, 0, 2, Fraction(-3, 2), Fraction(5, 6)]), min_size=8),
+)
+@settings(max_examples=30, deadline=None)
+def test_evaluate_all_matches_oracle(refs, values):
+    # terms of several degrees over the point's common denominator
+    point = dict(zip(WIDE_SYMS, values))
+    got = evaluate_all([Poly(a) for a in refs], point)
+    assert got == [ref_evaluate(a, point) for a in refs]
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_evaluate_needs_every_symbol():
+    with pytest.raises(KeyError):
+        (Poly.symbol(b1(1)) * Poly.symbol(b2(1))).evaluate({b1(1): 2})
+    assert Poly.zero().evaluate({}) == 0 and Poly.const(Fraction(3, 4)).evaluate({}) == Fraction(3, 4)
+
+
+@given(st.lists(st.tuples(st.integers(-5, 5), st.lists(st.sampled_from(SYMS), max_size=4)), max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_sum_of_products_matches_poly_arithmetic(products):
+    want = Poly.zero()
+    for c, syms in products:
+        term = Poly.const(c)
+        for sym in syms:
+            term = term * Poly.symbol(sym)
+        want = want + term
+    got = Poly.sum_of_products([(c, *syms) for c, syms in products])
+    assert got == want and str(got) == str(want)
+
+
+def test_sum_of_products_rejects_what_it_cannot_pack():
+    x = b1(1)
+    assert Poly.sum_of_products([(1, *[x] * MAX_EXPONENT)]) == Poly.symbol(x) ** MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        Poly.sum_of_products([(1, *[x] * (MAX_EXPONENT + 1))])
+    with pytest.raises(ExponentOverflow):  # a field that would wrap past its guard bit
+        Poly.sum_of_products([(1, *[x] * (2 * MAX_EXPONENT + 2))])
+    with pytest.raises(TypeError):
+        Poly.sum_of_products([(Fraction(1, 2), x)])
 
 
 @given(ref_polys(), st.dictionaries(st.sampled_from(WIDE_SYMS), ref_polys(max_terms=3)))

@@ -1,9 +1,12 @@
 """Relation families: index bookkeeping, cutoff, symmetry, grading."""
 
+import copy
+import pickle
+
 import pytest
 from fractions import Fraction
 
-from hypfield.polyring import Poly, b1, b2, b3, homogeneous_weight, la, w
+from hypfield.polyring import Poly, Symbol, b1, b2, b3, homogeneous_weight, la, w
 from hypfield.relations import (
     GenusContext,
     IndexOutOfRange,
@@ -134,6 +137,81 @@ def test_bel2_index_range():
     ctx = GenusContext(2)
     with pytest.raises(IndexOutOfRange):
         bel2(ctx, 1, 4)
+
+
+# --- reference residuals ----------------------------------------------------
+# The BEL1/BEL2 formulas in Poly arithmetic, one polynomial per factor, with
+# their own cutoff and naming and with symbols built without interning.
+
+def ref_sym(kind, *indices):
+    return Poly.symbol(Symbol(kind, indices))
+
+
+def ref_pp(g, k, l):
+    if k >= 2 * g + 1 or l >= 2 * g + 1:
+        return Poly.zero()
+    k, l = min(k, l), max(k, l)
+    return ref_sym("b1", l) if k == 1 else ref_sym("w", k, l)
+
+
+def ref_bel1(g, i):
+    res = (
+        ref_sym("b3", i)
+        - 6 * ref_sym("b1", 1) * ref_sym("b1", i)
+        + 2 * ref_pp(g, 3, i)
+        - 6 * ref_pp(g, 1, i + 2)
+    )
+    if i == 1:
+        res = res - 2 * ref_sym("la", 4)
+    return res
+
+
+def ref_bel2(g, i, j):
+    p1i, p1j = ref_sym("b1", i), ref_sym("b1", j)
+    rhs = (
+        4 * ref_sym("b1", 1) * p1i * p1j
+        + 4 * ref_pp(g, 1, i + 2) * p1j
+        + 4 * p1i * ref_pp(g, 1, j + 2)
+        - 2 * ref_pp(g, 3, i) * p1j
+        - 2 * p1i * ref_pp(g, 3, j)
+        - 2 * (ref_pp(g, i + 4, j) - 2 * ref_pp(g, i + 2, j + 2) + ref_pp(g, i, j + 4))
+    )
+    if i == 1:
+        rhs = rhs + 2 * ref_sym("la", 4) * p1j
+    if j == 1:
+        rhs = rhs + 2 * ref_sym("la", 4) * p1i
+    factor = 2 * (i == j) + (i - 2 == j) + (i == j - 2)
+    if factor:
+        rhs = rhs + 2 * factor * ref_sym("la", i + j + 4)
+    return ref_sym("b2", i) * ref_sym("b2", j) - rhs
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_residuals_match_the_reference(g):
+    # g <= 6 reaches the cutoff at 2g+1 from every term and every
+    # Kronecker-delta la term
+    ctx = GenusContext(g)
+    for i in ctx.odd_indices:
+        got = bel1(ctx, i)
+        assert got == ref_bel1(g, i) and str(got) == str(ref_bel1(g, i)), i
+        for j in ctx.odd_indices:
+            got = bel2(ctx, i, j)
+            assert got == ref_bel2(g, i, j) and str(got) == str(ref_bel2(g, i, j)), (i, j)
+
+
+def test_symbols_are_interned():
+    assert b1(3) is b1(3) and la(10) is la(10)
+    assert w(5, 3) is w(3, 5)
+    for make in (b1, b2, b3):
+        assert make(5) is make(5) and make(5) == Symbol(make.__name__, (5,))
+
+
+@pytest.mark.parametrize("sym", [b1(3), b2(1), b3(5), w(3, 5), la(10)], ids=str)
+def test_interned_symbols_copy_and_pickle_to_equal_symbols(sym):
+    for other in (copy.copy(sym), copy.deepcopy(sym), pickle.loads(pickle.dumps(sym))):
+        assert other == sym and type(other) is Symbol
+        assert other.name == sym.name and other.weight == sym.weight
+        assert Poly.symbol(other) == Poly.symbol(sym)
 
 
 # --- generating series ------------------------------------------------------

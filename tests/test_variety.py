@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 
+from hypfield.exactmath import rank_exact
 from hypfield.polyring import Poly, b1, b2, b3
 from hypfield.relations import GenusContext
 from hypfield.rewriter import RelationTable, build_table
@@ -112,6 +114,20 @@ def test_jacobian_rank_generic():
         for _ in range(5):
             point = random_rational_point(g, rng)
             assert p_jacobian_rank(pm, point) == 2 * g
+
+
+def test_values_and_rank_match_termwise_evaluation():
+    # each entry on its own, in Fraction arithmetic, from the symbolic terms
+    pm = p_map(table(3))
+    for point in (random_rational_point(3, random.Random(5)), [Fraction(k, 7) for k in range(-4, 5)]):
+        env = dict(zip(generator_symbols(3), point))
+
+        def termwise(p):
+            return sum((c * prod(env[s] ** e for s, e in m) for m, c in p.sorted_terms()), Fraction(0))
+
+        assert p_eval(pm, point) == [termwise(comp) for _, comp in pm.components]
+        entries = [[termwise(e) for e in row] for row in pm.jacobian]
+        assert p_jacobian_rank(pm, point) == rank_exact(entries)
 
 
 def test_random_point_reproducible():
