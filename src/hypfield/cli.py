@@ -19,8 +19,9 @@ from fractions import Fraction
 
 # Engine modules are reached through their attributes: each runs on its
 # first use (see the package docstring), so a subcommand runs only what it
-# calls.  --version runs none, numeric only weierstrass, disc only curve and
-# what curve imports, and only independence imports numpy.
+# calls.  --version runs none, numeric only weierstrass, disc only curve,
+# exactmath and relations (no polynomial code), and only independence
+# imports numpy.
 from . import __version__, _has_run
 from . import curve, exprlang, numerics1, polyring, relations, rewriter, variety, weierstrass
 

@@ -5,6 +5,9 @@ The discriminant of the monic curve polynomial f of degree n = 2g+1 is, up
 to sign, the determinant of the n x n matrix of multiplication by f' on
 R[x]/(f), with R = Q or the ring of parameter polynomials (H. Cohen, *A
 Course in Computational Algebraic Number Theory*, GTM 138, section 3.3).
+
+``polyring`` is reached through the module: only the symbolic discriminant
+runs it, so a numeric ``disc`` runs no polynomial code.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from . import polyring
 from .exactmath import det_exact, det_generic
-from .polyring import Poly, la
 from .relations import GenusContext
 
 
@@ -100,7 +103,8 @@ def in_sigma(lv: LambdaVector) -> bool:
     return discriminant(lv) == 0
 
 
-def symbolic_discriminant(ctx: GenusContext) -> Poly:
+def symbolic_discriminant(ctx: GenusContext) -> polyring.Poly:
     """The discriminant as a polynomial in the parameter symbols."""
-    coeffs = [Poly.one(), Poly.zero()] + [Poly.symbol(la(s)) for s in ctx.lambda_indices]
+    Poly = polyring.Poly
+    coeffs = [Poly.one(), Poly.zero()] + [Poly.symbol(polyring.la(s)) for s in ctx.lambda_indices]
     return _disc_sign(coeffs) * det_generic(_derivative_rows(coeffs))

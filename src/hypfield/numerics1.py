@@ -101,8 +101,13 @@ class RankReport(NamedTuple):
         else:
             out.append(f"verdict: DEFICIENCY {self.deficiency}")
         if self.kernel is not None:
+            # rounded to the printed places first, and + 0.0 turns -0.0 into
+            # 0.0, so a part that is rounding noise prints as +0.000000
+            def part(x: float) -> str:
+                return f"{round(x, 6) + 0.0:+.6f}"
+
             terms = [
-                f"{self.monomial_name(m)}: {c.real:+.6f}{c.imag:+.6f}j"
+                f"{self.monomial_name(m)}: {part(c.real)}{part(c.imag)}j"
                 for m, c in zip(self.monomials, self.kernel)
             ]
             out.append("kernel: " + "; ".join(terms))

@@ -25,11 +25,12 @@ A symbol gets the next free field the first time any polynomial uses it, so
 the layout depends on the order of first use within a process.  Nothing
 outside this module sees it: callers go through ``Poly(terms)``,
 ``Poly.symbol``, ``Poly.sum_of_products``, ``sorted_terms``, ``coeff``,
-``symbols``, ``evaluate_all`` and ``strip_common_monomial``, which speak in
-symbols and ``(Symbol, exponent)`` tuples, and pickling stores that symbolic
-form.  Each exponent is at most ``MAX_EXPONENT`` (32,767); a sum of two
-exponents below the cap never carries out of its field, and a product or
-power that sets a guard bit raises ``ExponentOverflow`` instead of wrapping.
+``symbols``, ``evaluate_all``, ``jacobian_rows`` and
+``strip_common_monomial``, which speak in symbols and ``(Symbol, exponent)``
+tuples, and pickling stores that symbolic form.  Each exponent is at most
+``MAX_EXPONENT`` (32,767); a sum of two exponents below the cap never
+carries out of its field, and a product or power that sets a guard bit
+raises ``ExponentOverflow`` instead of wrapping.
 
 ``Poly.terms`` maps each packed monomial to an int numerator over the one
 positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
@@ -358,6 +359,10 @@ class Poly:
             return _poly({m: c * n for m, c in self.terms.items()}, self.den * q.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
+        if other.den == 1 and other.terms == {0: 1}:
+            return self
+        if self.den == 1 and self.terms == {0: 1}:
+            return other
         a, b = self.terms, other.terms
         if not a or not b:
             return _poly({})
@@ -554,6 +559,14 @@ def strip_common_monomial(num: Poly, den: Poly):
     return divide(num), divide(den)
 
 
+def _numerators(env: dict) -> tuple:
+    """The point ``env`` over its common denominator D: D, and each
+    symbol's numerator over D."""
+    point = {sym: Fraction(x) for sym, x in env.items()}
+    den = lcm(*(x.denominator for x in point.values()))
+    return den, {sym: x.numerator * (den // x.denominator) for sym, x in point.items()}
+
+
 def evaluate_all(polys, env: dict) -> list:
     """The value of each polynomial at a rational point, as Fractions.
 
@@ -562,9 +575,7 @@ def evaluate_all(polys, env: dict) -> list:
     d is an integer over D**d: each power of a numerator is taken once for
     all the polynomials, a polynomial's terms are summed in integers over
     D**(its top degree), and each value makes one Fraction at the end."""
-    point = {sym: Fraction(x) for sym, x in env.items()}
-    den = lcm(*(x.denominator for x in point.values()))
-    nums = {}  # field -> numerator over den
+    den, nums = _numerators(env)
     powers = {}  # (field, exponent) -> numerator ** exponent
     values = []
     for p in polys:
@@ -574,11 +585,7 @@ def evaluate_all(polys, env: dict) -> list:
             for i, e in _factors(mono):
                 power = powers.get((i, e))
                 if power is None:
-                    n = nums.get(i)
-                    if n is None:
-                        x = point[_SYMS[i]]
-                        n = nums[i] = x.numerator * (den // x.denominator)
-                    power = powers[i, e] = n**e
+                    power = powers[i, e] = nums[_SYMS[i]] ** e
                 c *= power
                 d += e
             sums[d] = sums.get(d, 0) + c
@@ -586,6 +593,53 @@ def evaluate_all(polys, env: dict) -> list:
         total = sum(v * den ** (top - d) for d, v in sums.items())
         values.append(Fraction(total, p.den * den**top))
     return values
+
+
+def jacobian_rows(polys, syms, env: dict) -> list:
+    """The Jacobian of ``polys`` by ``syms`` at a rational point, one row
+    of ints per polynomial, each row a positive multiple of the true one.
+
+    ``env`` maps every symbol of the polynomials to an int or Fraction.
+    Each term is differentiated where it is evaluated, in one pass over the
+    terms, with the point over its common denominator D: the derivative of
+    a term of degree d is an integer over D**(d-1), so the row of a
+    polynomial of top degree t comes out multiplied by ``p.den * D**(t-1)``.
+    Row scaling keeps the rank, which is what the rows are for."""
+    den, nums = _numerators(env)
+    column = {_FIELD_OF[s]: j for j, s in enumerate(syms) if s in _FIELD_OF}
+    powers = {}  # (field, e) -> (n**e, e * n**(e-1)), n the field's numerator
+    rows = []
+    for p in polys:
+        by_degree = {}  # degree d -> the row of its terms' derivatives, over D**(d-1)
+        for mono, c in p.terms.items():
+            factors = _factors(mono)
+            pairs = []
+            d = 0
+            for i, e in factors:
+                pair = powers.get((i, e))
+                if pair is None:
+                    n = nums[_SYMS[i]]
+                    pair = powers[i, e] = (n**e, e * n ** (e - 1))
+                pairs.append(pair)
+                d += e
+            acc = by_degree.get(d)
+            if acc is None:
+                acc = by_degree[d] = [0] * len(syms)
+            for k, (i, _) in enumerate(factors):
+                j = column.get(i)
+                if j is not None:
+                    t = c
+                    for kk, (value, slope) in enumerate(pairs):
+                        t *= slope if kk == k else value
+                    acc[j] += t
+        top = max(by_degree, default=0)
+        row = [0] * len(syms)
+        for d, acc in by_degree.items():
+            lift = den ** (top - d)
+            for j, t in enumerate(acc):
+                row[j] += t * lift
+        rows.append(row)
+    return rows
 
 
 MIXED = None  # sentinel returned by homogeneous_weight for mixed-weight input

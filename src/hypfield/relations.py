@@ -6,6 +6,9 @@ downstream.  The two-index cutoff (symbols with an index >= 2g+1 vanish) and
 the Kronecker-delta bookkeeping live here.  A BEL1 or BEL2 residual is a list
 of ``(int coefficient, symbol, ...)`` products summed by one
 ``Poly.sum_of_products`` call.
+
+``polyring`` is reached through the module, so a process that only reads
+``GenusContext`` (``disc`` does) runs no polynomial code.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .polyring import Poly, XiSeries, b1, b2, b3, la, w
+from . import polyring
 
 
 class IndexOutOfRange(ValueError):
@@ -79,41 +82,46 @@ def _two_index(ctx: GenusContext, k: int, l: int):
     if k >= 2 * ctx.g + 1 or l >= 2 * ctx.g + 1:
         return None
     a, c = min(k, l), max(k, l)
-    return b1(c) if a == 1 else w(a, c)
+    return polyring.b1(c) if a == 1 else polyring.w(a, c)
 
 
-def pp_symbol(ctx: GenusContext, k: int, l: int) -> Poly:
+def pp_symbol(ctx: GenusContext, k: int, l: int) -> polyring.Poly:
     """Two-index function as a polynomial, 0 where the cutoff applies."""
     sym = _two_index(ctx, k, l)
-    return Poly.zero() if sym is None else Poly.symbol(sym)
+    return polyring.Poly.zero() if sym is None else polyring.Poly.symbol(sym)
 
 
-def _residual(products: list) -> Poly:
+def _residual(products: list) -> polyring.Poly:
     """The sum of ``(c, symbol, ...)`` products; a product with a two-index
     factor cut to zero (None) is dropped."""
-    return Poly.sum_of_products(p for p in products if None not in p)
+    return polyring.Poly.sum_of_products(p for p in products if None not in p)
 
 
-def bel1(ctx: GenusContext, i: int) -> Poly:
+def bel1(ctx: GenusContext, i: int) -> polyring.Poly:
     """Residual of the first relation family at odd index i."""
     _check_odd_index(ctx, i)
     pp = partial(_two_index, ctx)
-    products = [(1, b3(i)), (-6, b1(1), b1(i)), (2, pp(3, i)), (-6, pp(1, i + 2))]
+    products = [
+        (1, polyring.b3(i)),
+        (-6, polyring.b1(1), polyring.b1(i)),
+        (2, pp(3, i)),
+        (-6, pp(1, i + 2)),
+    ]
     if i == 1:
-        products.append((-2, la(4)))
+        products.append((-2, polyring.la(4)))
     return _residual(products)
 
 
-def bel2(ctx: GenusContext, i: int, j: int) -> Poly:
+def bel2(ctx: GenusContext, i: int, j: int) -> polyring.Poly:
     """Residual of the second (quadratic) relation family at (i, j):
     b2_i b2_j minus its right-hand side."""
     _check_odd_index(ctx, i)
     _check_odd_index(ctx, j)
     pp = partial(_two_index, ctx)
-    b1i, b1j = b1(i), b1(j)
+    b1i, b1j = polyring.b1(i), polyring.b1(j)
     products = [
-        (1, b2(i), b2(j)),
-        (-4, b1(1), b1i, b1j),
+        (1, polyring.b2(i), polyring.b2(j)),
+        (-4, polyring.b1(1), b1i, b1j),
         (-4, pp(1, i + 2), b1j),
         (-4, b1i, pp(1, j + 2)),
         (2, pp(3, i), b1j),
@@ -123,48 +131,49 @@ def bel2(ctx: GenusContext, i: int, j: int) -> Poly:
         (2, pp(i, j + 4)),
     ]
     if i == 1:
-        products.append((-2, la(4), b1j))
+        products.append((-2, polyring.la(4), b1j))
     if j == 1:
-        products.append((-2, la(4), b1i))
+        products.append((-2, polyring.la(4), b1i))
     factor = 2 * (i == j) + (i - 2 == j) + (i == j - 2)
     if factor:
         s = i + j + 4
         # the delta factor vanishes unless |i-j| <= 2, which keeps s <= 4g+2
         assert s in ctx.lambda_indices, (i, j, s)
-        products.append((-2 * factor, la(s)))
+        products.append((-2 * factor, polyring.la(s)))
     return _residual(products)
 
 
-def generator_series(ctx: GenusContext, level: int) -> XiSeries:
+def generator_series(ctx: GenusContext, level: int) -> polyring.XiSeries:
     """The series with the level-1/2/3 generators at powers 1..g."""
-    maker = {1: b1, 2: b2, 3: b3}[level]
-    return XiSeries.from_terms(
-        ctx.g, {i: Poly.symbol(maker(2 * i - 1)) for i in range(1, ctx.g + 1)}
+    maker = {1: polyring.b1, 2: polyring.b2, 3: polyring.b3}[level]
+    return polyring.XiSeries.from_terms(
+        ctx.g, {i: polyring.Poly.symbol(maker(2 * i - 1)) for i in range(1, ctx.g + 1)}
     )
 
 
-def parameter_series(ctx: GenusContext) -> XiSeries:
+def parameter_series(ctx: GenusContext) -> polyring.XiSeries:
     """xi^-1 plus the curve parameters at powers 1..2g."""
-    terms = {-1: Poly.one()}
+    terms = {-1: polyring.Poly.one()}
     for i in range(1, 2 * ctx.g + 1):
-        terms[i] = Poly.symbol(la(2 * i + 2))
-    return XiSeries.from_terms(ctx.g, terms)
+        terms[i] = polyring.Poly.symbol(polyring.la(2 * i + 2))
+    return polyring.XiSeries.from_terms(ctx.g, terms)
 
 
-def l1_rhs(ctx: GenusContext) -> XiSeries:
+def l1_rhs(ctx: GenusContext) -> polyring.XiSeries:
     """The bracketed generating-series expression whose xi-coefficients carry
     the curve parameters: b2^2 + 2 b3 (1 - b1) + 4 (xi^-1 + 2 b1_1)(1 - b1)^2."""
     bs1 = generator_series(ctx, 1)
     bs2 = generator_series(ctx, 2)
     bs3 = generator_series(ctx, 3)
-    one = XiSeries.from_terms(ctx.g, {0: Poly.one()})
-    xim1 = XiSeries.from_terms(ctx.g, {-1: Poly.one()})
+    one = polyring.XiSeries.from_terms(ctx.g, {0: polyring.Poly.one()})
+    xim1 = polyring.XiSeries.from_terms(ctx.g, {-1: polyring.Poly.one()})
     one_minus_b1 = one - bs1
-    pole_part = xim1 + XiSeries.from_terms(ctx.g, {0: 2 * Poly.symbol(b1(1))})
+    b1_1 = polyring.Poly.symbol(polyring.b1(1))
+    pole_part = xim1 + polyring.XiSeries.from_terms(ctx.g, {0: 2 * b1_1})
     return bs2 * bs2 + 2 * (bs3 * one_minus_b1) + 4 * (pole_part * (one_minus_b1 * one_minus_b1))
 
 
-def l1_residual(ctx: GenusContext) -> XiSeries:
+def l1_residual(ctx: GenusContext) -> polyring.XiSeries:
     """4 m(xi) minus the bracketed expression; vanishes coefficientwise when
     the parameter symbols take their derived values."""
     return 4 * parameter_series(ctx) - l1_rhs(ctx)

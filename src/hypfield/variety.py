@@ -2,7 +2,9 @@
 
 The ambient coordinates are exactly the ring symbols (b, w, la), so the
 defining equations are the relation residuals themselves.  All ranks are
-computed over Q with no tolerances.
+computed over Q with no tolerances: the parameter map's Jacobian is
+differentiated term by term at each point (``polyring.jacobian_rows``),
+never built as a matrix of polynomials.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import exactmath  # reached through the module: only rank runs it
-from .polyring import Poly, b1, b2, b3, evaluate_all, homogeneous_weight
+from .polyring import Poly, b1, b2, b3, evaluate_all, homogeneous_weight, jacobian_rows
 from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
 
@@ -96,22 +98,18 @@ def uniformize_check(ctx: GenusContext, table: RelationTable) -> UniformizeRepor
 
 class PMap(NamedTuple):
     """The polynomial projection onto the parameter space, one component
-    per curve parameter, each homogeneous in the 3g generators, with its
-    symbolic 2g x 3g Jacobian (rows by component, columns by generator)."""
+    per curve parameter, each homogeneous in the 3g generators."""
 
     genus: int
     components: tuple  # of (s, Poly), s ascending
-    jacobian: tuple  # of rows of Poly
 
 
 def p_map(table: RelationTable) -> PMap:
-    components = tuple((s, table.lam[s]) for s in sorted(table.lam))
-    syms = generator_symbols(table.genus)
-    jacobian = tuple(tuple(comp.diff(sym) for sym in syms) for _, comp in components)
-    return PMap(table.genus, components, jacobian)
+    return PMap(table.genus, tuple((s, table.lam[s]) for s in sorted(table.lam)))
 
 
 def _point_env(pm: PMap, point: Sequence) -> dict:
+    """Generator symbol -> coordinate, in the canonical coordinate order."""
     syms = generator_symbols(pm.genus)
     if len(point) != len(syms):
         raise ValueError(f"point must have {len(syms)} coordinates")
@@ -124,10 +122,10 @@ def p_eval(pm: PMap, point: Sequence) -> list:
 
 
 def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
-    """Exact rank of the Jacobian of the parameter map at a rational point."""
-    values = evaluate_all([e for row in pm.jacobian for e in row], _point_env(pm, point))
-    n = 3 * pm.genus  # one column per generator
-    return exactmath.rank_exact([values[r : r + n] for r in range(0, len(values), n)])
+    """Exact rank of the Jacobian of the parameter map at a rational point:
+    rows by component, columns by generator."""
+    env = _point_env(pm, point)
+    return exactmath.rank_exact(jacobian_rows([comp for _, comp in pm.components], list(env), env))
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

@@ -14,6 +14,12 @@ determinant of the Sylvester matrix of f and f'.
 ``RANK_G8`` is the SHA-256 of the stdout of ``python -m hypfield.cli rank
 --genus 8 --samples 20 --seed 0``, captured while every Jacobian entry was
 evaluated on its own in Fraction arithmetic.
+
+``RANK_POINT_G8`` holds the SHA-256 of the stdout of ``python -m
+hypfield.cli rank --genus 8 --point=...`` at a generic point (rank 16) and at
+a point of deficient rank (9), captured while the rank came from the
+symbolic Jacobian's 384 derivative polynomials: unlike the counts of
+``RANK_G8``, they pin the printed parameter values.
 """
 
 import hashlib
@@ -47,6 +53,13 @@ SYMBOLIC_DISC_G3 = "7b24fb2f6b1387e9695bd04dbba589b2884f2a18bab5ca507864dabfba55
 
 RANK_G8 = "64110b20c9c1c82db90d9c594c94e9b9b2c1406fe7f5d9fafeff23ed09261607"
 
+RANK_POINT_G8 = {
+    "1/2,-3,0,2/3,5,-1/4,0,7,-2/5,3/2,1,-6,0,4/3,-5/7,2,9/4,-1,0,3,-8/3,1/5,6,-7/2":
+        "8fa84ab03769e271959dac914c8842877a8bf45b184b30ab2252a11403a5ce7f",
+    "1,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0":
+        "2ce81110722b72099edd0c8d09ed243937c5210626c16298d4b7b2337dde2528",
+}
+
 
 @pytest.mark.parametrize("command,genus", sorted(GOLDEN, key=lambda k: (k[1], k[0])))
 def test_output_digest(capsys, command, genus):
@@ -66,3 +79,11 @@ def test_rank_digest(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == RANK_G8
+
+
+@pytest.mark.parametrize("point", list(RANK_POINT_G8), ids=["rank16", "rank9"])
+def test_rank_point_digest(capsys, point):
+    code = main(["rank", "--genus", "8", f"--point={point}"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK_POINT_G8[point]

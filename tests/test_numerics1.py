@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypfield import numerics1, weierstrass
-from hypfield.numerics1 import InsufficientSamples, _monomials, independence_experiment
+from hypfield.numerics1 import InsufficientSamples, RankReport, _monomials, independence_experiment
 from hypfield.weierstrass import (
     DegenerateLattice,
     LatticeContext,
@@ -427,6 +427,17 @@ def test_multi_lattice_experiment_full_rank():
     assert report.ratio > 1e-6
     assert report.kernel is None
     assert any("FULL RANK" in line for line in report.lines())
+
+
+def test_kernel_parts_below_the_printed_places_print_without_a_minus():
+    # LAPACK leaves zero coefficients as +-1e-17 noise, whose sign would flip
+    report = RankReport(
+        "single-lattice", ("wp", "wp'"), 3, ((0, 0), (1, 0), (0, 1)), 3, 3,
+        (1.0, 0.5, 1e-9), 1e-6, (complex(1, -1e-17), complex(-1e-17, -1e-17), -0.25 + 4e-7j),
+    )
+    assert report.lines()[-1] == (
+        "kernel: 1: +1.000000+0.000000j; wp: +0.000000+0.000000j; wp': -0.250000+0.000000j"
+    )
 
 
 def test_single_lattice_control_finds_the_cubic():

@@ -34,6 +34,7 @@ from hypfield.polyring import (
     b3,
     evaluate_all,
     homogeneous_weight,
+    jacobian_rows,
     la,
     mono_weight,
     w,
@@ -174,6 +175,17 @@ def test_scalar_coercion(p):
     assert 2 * p == p + p
     assert p + 0 == p
     assert 1 - p == Poly.one() - p
+
+
+@given(polys())
+@settings(max_examples=30, deadline=None)
+def test_product_with_one_is_the_other_factor(p):
+    one = Poly.one()
+    half = p * Fraction(1, 2)
+    for q in (p, half):
+        for got in (q * one, one * q):
+            assert got == q and got.den == q.den and got.terms == q.terms
+    assert one * one == one
 
 
 # --- independent oracle -----------------------------------------------------
@@ -321,6 +333,25 @@ def test_evaluate_all_matches_oracle(refs, values):
     got = evaluate_all([Poly(a) for a in refs], point)
     assert got == [ref_evaluate(a, point) for a in refs]
     assert all(type(v) is Fraction for v in got)
+
+
+@given(
+    st.lists(ref_polys(wide_exps), max_size=4),
+    st.lists(st.sampled_from([-1, 0, 2, Fraction(-3, 2), Fraction(5, 6)]), min_size=8),
+)
+@settings(max_examples=30, deadline=None)
+def test_jacobian_rows_are_positive_multiples_of_the_oracle(refs, values):
+    # columns for half the symbols, so some factors are only evaluated
+    point = dict(zip(WIDE_SYMS, values))
+    cols = WIDE_SYMS[::2]
+    rows = jacobian_rows([Poly(a) for a in refs], cols, point)
+    assert len(rows) == len(refs)
+    for a, row in zip(refs, rows):
+        want = [ref_evaluate(ref_diff(a, s), point) for s in cols]
+        assert all(type(x) is int for x in row)
+        pivot = next((j for j, x in enumerate(want) if x), None)
+        k = 1 if pivot is None else Fraction(row[pivot]) / want[pivot]
+        assert k > 0 and row == [k * x for x in want]
 
 
 def test_evaluate_needs_every_symbol():

@@ -34,7 +34,7 @@ RECORDS = {
     "UniformizeReport": (
         lambda: UniformizeReport(1, (EquationStatus(BEL1, Poly.zero()),)), "entries", True
     ),
-    "PMap": (lambda: PMap(1, ((4, Poly.one()),), ((Poly.one(),),)), "jacobian", True),
+    "PMap": (lambda: PMap(1, ((4, Poly.one()),)), "components", True),
     "LambdaVector": (
         lambda: LambdaVector(1, {4: Fraction(1), 6: Fraction(-2)}),
         "values",

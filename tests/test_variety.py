@@ -8,7 +8,7 @@ from math import prod
 import pytest
 
 from hypfield.exactmath import rank_exact
-from hypfield.polyring import Poly, b1, b2, b3
+from hypfield.polyring import Poly, b1, b2, b3, jacobian_rows
 from hypfield.relations import GenusContext
 from hypfield.rewriter import RelationTable, build_table
 from hypfield.variety import (
@@ -27,6 +27,18 @@ from hypfield.variety import (
 @lru_cache(maxsize=None)
 def table(g):
     return build_table(GenusContext(g))
+
+
+def symbolic_jacobian(pm):
+    """The 2g x 3g Jacobian as polynomials: rows by component, columns by
+    generator."""
+    syms = generator_symbols(pm.genus)
+    return [[comp.diff(sym) for sym in syms] for _, comp in pm.components]
+
+
+def termwise(p, env):
+    """The value of ``p`` at ``env``, each term on its own, in Fractions."""
+    return sum((c * prod(env[s] ** e for s, e in m) for m, c in p.sorted_terms()), Fraction(0))
 
 
 def test_counts():
@@ -93,8 +105,7 @@ def test_p_eval_point_length_checked():
 
 
 def test_jacobian_shape_and_entries():
-    pm = p_map(table(1))
-    jac = pm.jacobian
+    jac = symbolic_jacobian(p_map(table(1)))
     assert len(jac) == 2 and len(jac[0]) == 3
     # d la4 / d b3_1 = 1/2, d la4 / d b2_1 = 0
     assert jac[0][2] == Poly.const(Fraction(1, 2))
@@ -121,13 +132,53 @@ def test_values_and_rank_match_termwise_evaluation():
     pm = p_map(table(3))
     for point in (random_rational_point(3, random.Random(5)), [Fraction(k, 7) for k in range(-4, 5)]):
         env = dict(zip(generator_symbols(3), point))
-
-        def termwise(p):
-            return sum((c * prod(env[s] ** e for s, e in m) for m, c in p.sorted_terms()), Fraction(0))
-
-        assert p_eval(pm, point) == [termwise(comp) for _, comp in pm.components]
-        entries = [[termwise(e) for e in row] for row in pm.jacobian]
+        assert p_eval(pm, point) == [termwise(comp, env) for _, comp in pm.components]
+        entries = [[termwise(e, env) for e in row] for row in symbolic_jacobian(pm)]
         assert p_jacobian_rank(pm, point) == rank_exact(entries)
+
+
+# b1_1 = b2_1 = b3_1 = 1, every other generator 0: a genuinely deficient rank
+RANK9_G8 = ([1] + [0] * 7) * 3
+
+
+def oracle_points(g):
+    rng = random.Random(g)
+    sparse = random_rational_point(g, rng)
+    sparse[::3] = [0] * len(sparse[::3])
+    points = [random_rational_point(g, rng), random_rational_point(g, rng), sparse, [0] * (3 * g)]
+    if g == 8:
+        points.append(RANK9_G8)
+    return points
+
+
+def assert_positive_multiple(row, want):
+    """``row`` is ``k * want`` for some rational k > 0."""
+    pivot = next((j for j, x in enumerate(want) if x), None)
+    if pivot is None:
+        assert not any(row)
+        return
+    k = Fraction(row[pivot]) / want[pivot]
+    assert k > 0 and row == [k * x for x in want]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 8])
+def test_jacobian_rows_are_positive_multiples_of_the_symbolic_jacobian(g):
+    # the oracle differentiates with Poly.diff and evaluates entry by entry
+    pm = p_map(table(g))
+    syms = generator_symbols(g)
+    jac = symbolic_jacobian(pm)
+    components = [comp for _, comp in pm.components]
+    for point in oracle_points(g):
+        env = dict(zip(syms, map(Fraction, point)))
+        oracle = [[termwise(e, env) for e in row] for row in jac]
+        rows = jacobian_rows(components, syms, env)
+        assert len(rows) == 2 * g
+        for row, want in zip(rows, oracle):
+            assert all(type(x) is int for x in row)
+            assert_positive_multiple(row, want)
+        assert p_jacobian_rank(pm, point) == rank_exact(oracle)
+    if g == 8:
+        assert p_jacobian_rank(pm, RANK9_G8) == 9
 
 
 def test_random_point_reproducible():
