@@ -21,6 +21,11 @@ import types
 
 __version__ = "0.1.0"
 
+# the most samples a command takes: rank's and numeric's --samples, and
+# independence's lattices * samples rows (numeric and independence make one
+# Weierstrass evaluation each, rank one exact Jacobian rank)
+MAX_SAMPLE_ROWS = 10_000
+
 # public name -> the engine module that defines it
 _EXPORTS = {
     "GenusContext": "relations",

@@ -22,7 +22,7 @@ from fractions import Fraction
 # calls.  --version runs none, numeric only weierstrass, disc only curve,
 # exactmath and relations (no polynomial code), and only independence
 # imports numpy.
-from . import __version__, _has_run
+from . import MAX_SAMPLE_ROWS, __version__, _has_run
 from . import curve, exprlang, numerics1, polyring, relations, rewriter, variety, weierstrass
 
 EXIT_OK = 0
@@ -207,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_samples(samples: int) -> None:
+    """Refuse more than ``MAX_SAMPLE_ROWS`` samples before any work starts."""
+    if samples > MAX_SAMPLE_ROWS:
+        raise ValueError(f"{samples} samples is above the cap of {MAX_SAMPLE_ROWS}")
+
+
 def cmd_table(args) -> int:
     table = rewriter.build_table(relations.GenusContext(args.genus))
     sys.stdout.write(table.tree_text() if args.format == "tree" else table.text())
@@ -251,6 +257,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    _check_samples(args.samples)
     ctx = relations.GenusContext(args.genus)
     table = rewriter.build_table(ctx)
     pm = variety.p_map(table)
@@ -280,10 +287,7 @@ def cmd_disc(args) -> int:
 
 
 def cmd_numeric(args) -> int:
-    if args.samples > weierstrass.MAX_SAMPLE_ROWS:
-        raise ValueError(
-            f"{args.samples} samples is above the cap of {weierstrass.MAX_SAMPLE_ROWS}"
-        )
+    _check_samples(args.samples)
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):

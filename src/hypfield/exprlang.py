@@ -159,10 +159,10 @@ class _Parser:
             if s_tok.kind != "int":
                 raise ExpressionSyntaxError("la must be followed by an index", tok.pos)
             s = int(s_tok.text)
-            top = 4 * self.ctx.g + 2
-            if s % 2 or s < 4 or s > top:
+            indices = self.ctx.lambda_indices
+            if s not in indices:
                 raise ExpressionIndexError(
-                    f"la index {s} outside the even range 4..{top}", s_tok.pos
+                    f"la index {s} outside the even range 4..{indices[-1]}", s_tok.pos
                 )
             return Lam(s)
         raise ExpressionSyntaxError(f"unexpected token {tok.text!r}", tok.pos)

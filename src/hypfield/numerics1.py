@@ -12,7 +12,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .weierstrass import MAX_SAMPLE_ROWS, _wp_all, random_lattice, random_sample_point
+from . import MAX_SAMPLE_ROWS
+from .weierstrass import _wp_all, random_lattice, random_sample_point
 from .weierstrass import LatticeContext  # noqa: F401  (perfbench's tracer wraps it here)
 
 

@@ -25,12 +25,12 @@ A symbol gets the next free field the first time any polynomial uses it, so
 the layout depends on the order of first use within a process.  Nothing
 outside this module sees it: callers go through ``Poly(terms)``,
 ``Poly.symbol``, ``Poly.sum_of_products``, ``sorted_terms``, ``coeff``,
-``symbols``, ``evaluate_all``, ``jacobian_rows`` and
-``strip_common_monomial``, which speak in symbols and ``(Symbol, exponent)``
-tuples, and pickling stores that symbolic form.  Each exponent is at most
-``MAX_EXPONENT`` (32,767); a sum of two exponents below the cap never
-carries out of its field, and a product or power that sets a guard bit
-raises ``ExponentOverflow`` instead of wrapping.
+``symbols``, ``at_point`` and ``strip_common_monomial``, which speak in
+symbols and ``(Symbol, exponent)`` tuples, and pickling stores that
+symbolic form.  Each exponent is at most ``MAX_EXPONENT`` (32,767); a sum
+of two exponents below the cap never carries out of its field, and a
+product or power that sets a guard bit raises ``ExponentOverflow`` instead
+of wrapping.
 
 ``Poly.terms`` maps each packed monomial to an int numerator over the one
 positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
@@ -221,11 +221,6 @@ def _order_key(m: int) -> tuple:
                 rank[i] = r
             _rank = rank
     return (-(m & _WEIGHT_MASK), sorted([(rank[i], -e, i) for i, e in _factors(m)]))
-
-
-def mono_weight(mono: tuple) -> int:
-    """Weight of a monomial given as ``((Symbol, exponent), ...)``."""
-    return sum(sym.weight * e for sym, e in mono)
 
 
 def _poly(terms: dict, den: int = 1) -> "Poly":
@@ -495,24 +490,6 @@ class Poly:
                 out[m] = get(m, 0) + v * scale
         return _poly(out, den * self.den)
 
-    def evaluate(self, env: dict) -> Fraction:
-        """The value at a rational point: ``env`` maps every symbol of the
-        polynomial to an int or Fraction (see ``evaluate_all``)."""
-        return evaluate_all([self], env)[0]
-
-    def diff(self, sym: Symbol) -> "Poly":
-        """Partial derivative with respect to one symbol, termwise."""
-        i = _FIELD_OF.get(sym)
-        if i is None:
-            return _poly({})
-        unit, shift = _UNITS[i], _WEIGHT_BITS + _FIELD_BITS * i
-        out = {}
-        for mono, c in self.terms.items():
-            e = (mono >> shift) & MAX_EXPONENT
-            if e:
-                out[mono - unit] = c * e
-        return _poly(out, self.den)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -559,87 +536,62 @@ def strip_common_monomial(num: Poly, den: Poly):
     return divide(num), divide(den)
 
 
-def _numerators(env: dict) -> tuple:
-    """The point ``env`` over its common denominator D: D, and each
-    symbol's numerator over D."""
+def at_point(polys, env: dict, syms=()) -> tuple:
+    """Each polynomial's value at a rational point, and its Jacobian row by
+    ``syms`` there, in one pass over each polynomial's terms.
+
+    ``env`` maps every symbol of the polynomials to an int or Fraction.
+    The point is written over its common denominator D, with numerator n
+    for each symbol: a term of degree d is an integer over D**d, and its
+    derivative by one of its symbols an integer over D**(d-1), both made
+    from the pairs ``(n**e, e*n**(e-1))``, each taken once for all the
+    polynomials.  A polynomial's terms are summed by degree into buckets
+    ``[value, *row]``, and each bucket is lifted once to the top degree t.
+    Returns the values as Fractions and the rows as lists of ints, each
+    row ``p.den * D**(t-1)`` times the true one.  Scaling a row by a
+    positive number keeps the rank, which is what the rows are for."""
     point = {sym: Fraction(x) for sym, x in env.items()}
     den = lcm(*(x.denominator for x in point.values()))
-    return den, {sym: x.numerator * (den // x.denominator) for sym, x in point.items()}
-
-
-def evaluate_all(polys, env: dict) -> list:
-    """The value of each polynomial at a rational point, as Fractions.
-
-    ``env`` maps every symbol of the polynomials to an int or Fraction.
-    The point is written over one common denominator D, so a term of degree
-    d is an integer over D**d: each power of a numerator is taken once for
-    all the polynomials, a polynomial's terms are summed in integers over
-    D**(its top degree), and each value makes one Fraction at the end."""
-    den, nums = _numerators(env)
-    powers = {}  # (field, exponent) -> numerator ** exponent
-    values = []
-    for p in polys:
-        sums = {}  # degree -> sum of the terms of that degree
-        for mono, c in p.terms.items():
-            d = 0
-            for i, e in _factors(mono):
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = nums[_SYMS[i]] ** e
-                c *= power
-                d += e
-            sums[d] = sums.get(d, 0) + c
-        top = max(sums, default=0)
-        total = sum(v * den ** (top - d) for d, v in sums.items())
-        values.append(Fraction(total, p.den * den**top))
-    return values
-
-
-def jacobian_rows(polys, syms, env: dict) -> list:
-    """The Jacobian of ``polys`` by ``syms`` at a rational point, one row
-    of ints per polynomial, each row a positive multiple of the true one.
-
-    ``env`` maps every symbol of the polynomials to an int or Fraction.
-    Each term is differentiated where it is evaluated, in one pass over the
-    terms, with the point over its common denominator D: the derivative of
-    a term of degree d is an integer over D**(d-1), so the row of a
-    polynomial of top degree t comes out multiplied by ``p.den * D**(t-1)``.
-    Row scaling keeps the rank, which is what the rows are for."""
-    den, nums = _numerators(env)
-    column = {_FIELD_OF[s]: j for j, s in enumerate(syms) if s in _FIELD_OF}
+    nums = {sym: x.numerator * (den // x.denominator) for sym, x in point.items()}
+    column = {_FIELD_OF[s]: j for j, s in enumerate(syms, 1) if s in _FIELD_OF}
+    width = 1 + len(syms)
     powers = {}  # (field, e) -> (n**e, e * n**(e-1)), n the field's numerator
-    rows = []
+    values, rows = [], []
     for p in polys:
-        by_degree = {}  # degree d -> the row of its terms' derivatives, over D**(d-1)
+        buckets = {}  # degree d -> [value over D**d, *row over D**(d-1)]
         for mono, c in p.terms.items():
             factors = _factors(mono)
             pairs = []
             d = 0
+            value = c
             for i, e in factors:
                 pair = powers.get((i, e))
                 if pair is None:
                     n = nums[_SYMS[i]]
                     pair = powers[i, e] = (n**e, e * n ** (e - 1))
                 pairs.append(pair)
+                value *= pair[0]
                 d += e
-            acc = by_degree.get(d)
+            acc = buckets.get(d)
             if acc is None:
-                acc = by_degree[d] = [0] * len(syms)
+                acc = buckets[d] = [0] * width
+            acc[0] += value
             for k, (i, _) in enumerate(factors):
                 j = column.get(i)
                 if j is not None:
                     t = c
-                    for kk, (value, slope) in enumerate(pairs):
-                        t *= slope if kk == k else value
+                    for kk, (power, slope) in enumerate(pairs):
+                        t *= slope if kk == k else power
                     acc[j] += t
-        top = max(by_degree, default=0)
-        row = [0] * len(syms)
-        for d, acc in by_degree.items():
+        top = max(buckets, default=0)
+        total = [0] * width
+        for d, acc in buckets.items():
             lift = den ** (top - d)
             for j, t in enumerate(acc):
-                row[j] += t * lift
-        rows.append(row)
-    return rows
+                total[j] += t * lift
+        values.append(Fraction(total[0], p.den * den**top))
+        rows.append(total[1:])
+    return values, rows
 
 
 MIXED = None  # sentinel returned by homogeneous_weight for mixed-weight input

@@ -69,8 +69,8 @@ class RelationId(NamedTuple):
 
 
 def _check_odd_index(ctx: GenusContext, i: int):
-    if i % 2 == 0 or i < 1 or i > 2 * ctx.g - 1:
-        raise IndexOutOfRange(f"index {i} not odd in 1..{2 * ctx.g - 1}")
+    if i not in ctx.odd_indices:
+        raise IndexOutOfRange(f"index {i} not odd in 1..{ctx.odd_indices[-1]}")
 
 
 def _two_index(ctx: GenusContext, k: int, l: int):

@@ -227,13 +227,11 @@ def _resolve_psym(ctx: GenusContext, indices: tuple) -> Poly:
     if n == 2:
         return pp_symbol(ctx, idx[0], idx[1])
     if n == 3 and idx[0] == idx[1] == 1:
-        k = idx[2]
-        if k <= 2 * ctx.g - 1:
-            return Poly.symbol(b2(k))
+        if idx[2] in ctx.odd_indices:
+            return Poly.symbol(b2(idx[2]))
     elif n == 4 and idx[0] == idx[1] == idx[2] == 1:
-        k = idx[3]
-        if k <= 2 * ctx.g - 1:
-            return Poly.symbol(b3(k))
+        if idx[3] in ctx.odd_indices:
+            return Poly.symbol(b3(idx[3]))
     raise UnsupportedSymbol(
         f"p[{','.join(str(i) for i in indices)}] is outside the supported closure "
         "(only two-index symbols and the 1-, 1,1-, 1,1,1-prefixed generators)"
@@ -265,7 +263,7 @@ def reduce_expr(ctx: GenusContext, table: RelationTable, e: Expr):
             return Poly.const(node.value), Poly.one()
         if isinstance(node, Lam):
             if node.s not in table.lam:
-                raise UnsupportedSymbol(f"la{node.s} outside 4..{4 * ctx.g + 2}")
+                raise UnsupportedSymbol(f"la{node.s} outside 4..{ctx.lambda_indices[-1]}")
             return table.lam[node.s], Poly.one()
         if isinstance(node, PSym):
             p = _resolve_psym(ctx, node.indices).substitute(env)

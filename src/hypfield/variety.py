@@ -2,9 +2,10 @@
 
 The ambient coordinates are exactly the ring symbols (b, w, la), so the
 defining equations are the relation residuals themselves.  All ranks are
-computed over Q with no tolerances: the parameter map's Jacobian is
-differentiated term by term at each point (``polyring.jacobian_rows``),
-never built as a matrix of polynomials.
+computed over Q with no tolerances.  One pass over the parameter map's
+terms at a rational point (``polyring.at_point``) gives both its values
+and its Jacobian, each term differentiated where it is evaluated: the
+Jacobian is never built as a matrix of polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import exactmath  # reached through the module: only rank runs it
-from .polyring import Poly, b1, b2, b3, evaluate_all, homogeneous_weight, jacobian_rows
+from .polyring import Poly, at_point, b1, b2, b3, homogeneous_weight
 from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
 
@@ -29,7 +30,7 @@ def ambient_dimension(g: int) -> int:
 
 def generator_symbols(g: int) -> list:
     """The 3g generator symbols in their canonical coordinate order."""
-    odd = range(1, 2 * g, 2)
+    odd = GenusContext(g).odd_indices
     return [b1(k) for k in odd] + [b2(k) for k in odd] + [b3(k) for k in odd]
 
 
@@ -118,14 +119,14 @@ def _point_env(pm: PMap, point: Sequence) -> dict:
 
 def p_eval(pm: PMap, point: Sequence) -> list:
     """Exact evaluation of the parameter polynomials at a rational point."""
-    return evaluate_all([comp for _, comp in pm.components], _point_env(pm, point))
+    return at_point([comp for _, comp in pm.components], _point_env(pm, point))[0]
 
 
 def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
     """Exact rank of the Jacobian of the parameter map at a rational point:
     rows by component, columns by generator."""
     env = _point_env(pm, point)
-    return exactmath.rank_exact(jacobian_rows([comp for _, comp in pm.components], list(env), env))
+    return exactmath.rank_exact(at_point([comp for _, comp in pm.components], env, list(env))[1])
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

@@ -40,10 +40,6 @@ class NearPole(ValueError):
     """Evaluation point too close to a lattice point."""
 
 
-# independence rows (lattices * samples) and numeric samples: one _wp_all each
-MAX_SAMPLE_ROWS = 10_000
-
-
 _TERMS = 10  # q-series rows on either side of the origin; tail O(|q|^(_TERMS + 1/3))
 _EISENSTEIN_CUTOFF = 40  # Fourier terms in the invariants g2, g3
 _POLE_FLOOR = 0.05  # closest approach to a lattice point, in shortest periods

@@ -6,9 +6,10 @@ from functools import lru_cache
 from math import prod
 
 import pytest
+import sympy
 
 from hypfield.exactmath import rank_exact
-from hypfield.polyring import Poly, b1, b2, b3, jacobian_rows
+from hypfield.polyring import Poly, at_point, b1, b2, b3
 from hypfield.relations import GenusContext
 from hypfield.rewriter import RelationTable, build_table
 from hypfield.variety import (
@@ -29,11 +30,21 @@ def table(g):
     return build_table(GenusContext(g))
 
 
+def derivative(p, sym):
+    """``p`` differentiated by ``sym``, term by term."""
+    out = {}
+    for m, c in p.sorted_terms():
+        e = dict(m).get(sym, 0)
+        if e:
+            out[tuple((s, k - (s == sym)) for s, k in m if (s, k) != (sym, 1))] = c * e
+    return Poly(out)
+
+
 def symbolic_jacobian(pm):
     """The 2g x 3g Jacobian as polynomials: rows by component, columns by
     generator."""
     syms = generator_symbols(pm.genus)
-    return [[comp.diff(sym) for sym in syms] for _, comp in pm.components]
+    return [[derivative(comp, sym) for sym in syms] for _, comp in pm.components]
 
 
 def termwise(p, env):
@@ -163,7 +174,7 @@ def assert_positive_multiple(row, want):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 8])
 def test_jacobian_rows_are_positive_multiples_of_the_symbolic_jacobian(g):
-    # the oracle differentiates with Poly.diff and evaluates entry by entry
+    # the oracle differentiates term by term and evaluates entry by entry
     pm = p_map(table(g))
     syms = generator_symbols(g)
     jac = symbolic_jacobian(pm)
@@ -171,7 +182,8 @@ def test_jacobian_rows_are_positive_multiples_of_the_symbolic_jacobian(g):
     for point in oracle_points(g):
         env = dict(zip(syms, map(Fraction, point)))
         oracle = [[termwise(e, env) for e in row] for row in jac]
-        rows = jacobian_rows(components, syms, env)
+        values, rows = at_point(components, env, syms)
+        assert values == [termwise(comp, env) for comp in components]
         assert len(rows) == 2 * g
         for row, want in zip(rows, oracle):
             assert all(type(x) is int for x in row)
@@ -179,6 +191,38 @@ def test_jacobian_rows_are_positive_multiples_of_the_symbolic_jacobian(g):
         assert p_jacobian_rank(pm, point) == rank_exact(oracle)
     if g == 8:
         assert p_jacobian_rank(pm, RANK9_G8) == 9
+
+
+def sympy_rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_at_point_matches_sympy(g):
+    # independent oracle: sympy builds the map from its terms, differentiates
+    # it with Matrix.jacobian and evaluates it by substitution
+    pm = p_map(table(g))
+    syms = generator_symbols(g)
+    gens = sympy.symbols([sym.name for sym in syms])
+    of = dict(zip(syms, gens))
+    comps = sympy.Matrix([
+        sum(sympy_rational(c) * sympy.Mul(*(of[s] ** e for s, e in m)) for m, c in comp.sorted_terms())
+        for _, comp in pm.components
+    ])
+    jac = comps.jacobian(gens)
+    rng = random.Random(100 + g)
+    for point in [random_rational_point(g, rng) for _ in range(3)] + [[Fraction(0)] * (3 * g)]:
+        subs = dict(zip(gens, map(sympy_rational, point)))
+        values, rows = at_point([comp for _, comp in pm.components], dict(zip(syms, point)), syms)
+        assert values == [fraction(v) for v in comps.subs(subs)]
+        want = jac.subs(subs)
+        assert p_jacobian_rank(pm, point) == want.rank()
+        for k, row in enumerate(rows):
+            assert_positive_multiple(row, [fraction(x) for x in want.row(k)])
 
 
 def test_random_point_reproducible():
