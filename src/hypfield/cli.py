@@ -262,8 +262,7 @@ def cmd_rank(args) -> int:
     table = rewriter.build_table(ctx)
     pm = variety.p_map(table)
     if args.point is not None:
-        rank = variety.p_jacobian_rank(pm, args.point)
-        values = variety.p_eval(pm, args.point)
+        values, rank = variety.p_values_and_rank(pm, args.point)
         print("lambda = " + ",".join(map(str, values)))
         print(f"rank {rank}")
         return EXIT_OK

@@ -35,6 +35,15 @@ of wrapping.
 ``Poly.terms`` maps each packed monomial to an int numerator over the one
 positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
 equal polynomials have equal ``terms`` and ``den``.
+
+Printing, ``sorted_terms`` and ``leading_coeff`` order the terms by one int
+per monomial, its order key: the weight above one 16-bit field per
+registered symbol, the fields in symbol order with the first symbol's
+highest.  Keys compare as (weight, exponent vector in symbol order) do
+lexicographically, so a descending sort of the keys is the print order in
+any process, whatever order it registered its symbols in; the key layout
+is rebuilt from the registry when the registry has grown.  Reading a key's
+nonzero fields from the top gives the term's factors in symbol order.
 """
 
 from __future__ import annotations
@@ -155,7 +164,6 @@ _SYMS: list = []
 _UNITS: list = []
 _NAMES: list = []
 _FIELD_OF: dict = {}  # Symbol -> field index
-_rank: list = []  # field index -> position of its symbol in symbol order
 _guard = 1 << (_WEIGHT_BITS - 1)  # the guard bits of the weight and of every field
 _registry_lock = threading.Lock()
 
@@ -207,20 +215,49 @@ def _pack(mono) -> int:
     return m
 
 
-def _order_key(m: int) -> tuple:
-    # graded-lex, descending: heavier first, then lexicographically larger
-    # exponent vectors first.  A field's rank is its symbol's position in
-    # symbol order, so ranks compare as the symbols do; the field index after
-    # (rank, -e) never decides a comparison and is kept for printing.
-    global _rank
-    rank = _rank
-    if len(rank) != len(_SYMS):  # a symbol registered since the last ranking
+# Where an order key (see the module docstring) keeps each field, as the
+# tuple (shifts, syms, names, top, below): shifts[i] is the key position of
+# field i's exponent, syms[j] and names[j] the symbol of key field j and its
+# name, top the key position of the weight, and below[i] the mask of the
+# fields under field i, in a key or a monomial.
+_layout = ([], [], [], 0, [])
+
+
+def _print_layout() -> tuple:
+    """The layout for every symbol registered so far, rebuilt once one more
+    has registered."""
+    global _layout
+    layout = _layout
+    if len(layout[0]) != len(_SYMS):
         with _registry_lock:
-            rank = [0] * len(_SYMS)
-            for r, i in enumerate(sorted(range(len(_SYMS)), key=_SYMS.__getitem__)):
-                rank[i] = r
-            _rank = rank
-    return (-(m & _WEIGHT_MASK), sorted([(rank[i], -e, i) for i, e in _factors(m)]))
+            n = len(_SYMS)
+            fields = sorted(range(n), key=_SYMS.__getitem__, reverse=True)  # key field j -> field
+            shifts = [0] * n
+            for j, i in enumerate(fields):
+                shifts[i] = _FIELD_BITS * j
+            layout = _layout = (
+                shifts, [_SYMS[i] for i in fields], [_NAMES[i] for i in fields], _FIELD_BITS * n,
+                [(1 << _FIELD_BITS * i) - 1 for i in range(n)],
+            )
+    return layout
+
+
+def _keyed(terms: dict, layout: tuple) -> list:
+    """``(order key, numerator)`` for every term, in no particular order.
+
+    Like ``_factors`` it visits only the nonzero fields, top first; it is
+    written out because keying every term is much of what printing costs."""
+    shifts, _, _, top, below = layout
+    out = []
+    for m, c in terms.items():
+        k = (m & _WEIGHT_MASK) << top
+        x = m >> _WEIGHT_BITS
+        while x:
+            i = (x.bit_length() - 1) // _FIELD_BITS
+            k += (x >> _FIELD_BITS * i) << shifts[i]
+            x &= below[i]
+        out.append((k, c))
+    return out
 
 
 def _poly(terms: dict, den: int = 1) -> "Poly":
@@ -417,21 +454,25 @@ class Poly:
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.den))
 
-    def _keyed_terms(self) -> list:
-        """``(order key, numerator)`` for every term, in print order."""
-        return sorted((_order_key(m), c) for m, c in self.terms.items())
-
     def sorted_terms(self) -> list:
         """``[(((Symbol, exponent), ...), Fraction), ...]`` in print order."""
-        return [
-            (tuple((_SYMS[i], -ne) for _, ne, i in key[1]), Fraction(c, self.den))
-            for key, c in self._keyed_terms()
+        layout = _print_layout()
+        _, syms, _, top, _ = layout
+        mask = (1 << top) - 1
+        keyed = _keyed(self.terms, layout)
+        keyed.sort(reverse=True)
+        return [  # a key's fields, moved above the weight bits, read as a monomial's
+            (
+                tuple((syms[j], e) for j, e in _factors((k & mask) << _WEIGHT_BITS)),
+                Fraction(c, self.den),
+            )
+            for k, c in keyed
         ]
 
     def leading_coeff(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return Fraction(self.terms[min(self.terms, key=_order_key)], self.den)
+        return Fraction(max(_keyed(self.terms, _print_layout()))[1], self.den)
 
     def symbols(self) -> set:
         return {_SYMS[i] for i, _ in _factors(reduce(or_, self.terms, 0))}
@@ -494,11 +535,23 @@ class Poly:
         if not self.terms:
             return "0"
         den = self.den
+        layout = _print_layout()
+        _, _, names, top, below = layout
+        mask = (1 << top) - 1
+        keyed = _keyed(self.terms, layout)
+        keyed.sort(reverse=True)
         parts = []
-        for key, c in self._keyed_terms():
+        for k, c in keyed:
             g = gcd(c, den)
             mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
-            mono = "*".join(_NAMES[i] if ne == -1 else f"{_NAMES[i]}^{-ne}" for _, ne, i in key[1])
+            factors = []
+            x = k & mask  # the symbol fields, read top first: in symbol order
+            while x:
+                j = (x.bit_length() - 1) // _FIELD_BITS
+                e = x >> _FIELD_BITS * j
+                x &= below[j]
+                factors.append(names[j] if e == 1 else f"{names[j]}^{e}")
+            mono = "*".join(factors)
             if not mono:
                 body = mag
             elif mag == "1":

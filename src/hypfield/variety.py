@@ -122,11 +122,18 @@ def p_eval(pm: PMap, point: Sequence) -> list:
     return at_point([comp for _, comp in pm.components], _point_env(pm, point))[0]
 
 
-def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
-    """Exact rank of the Jacobian of the parameter map at a rational point:
-    rows by component, columns by generator."""
+def p_values_and_rank(pm: PMap, point: Sequence) -> tuple:
+    """The parameter values at a rational point and the exact rank of the
+    Jacobian there (rows by component, columns by generator), both from one
+    pass over the map's terms."""
     env = _point_env(pm, point)
-    return exactmath.rank_exact(at_point([comp for _, comp in pm.components], env, list(env))[1])
+    values, rows = at_point([comp for _, comp in pm.components], env, list(env))
+    return values, exactmath.rank_exact(rows)
+
+
+def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
+    """Exact rank of the Jacobian of the parameter map at a rational point."""
+    return p_values_and_rank(pm, point)[1]
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

@@ -331,7 +331,9 @@ def test_rank_sampling(capsys):
     assert "rank 2 at 5/5 points; rank 1 at origin" in out
 
 
-def test_rank_derives_the_jacobian_once(capsys, monkeypatch):
+@pytest.fixture
+def at_point_calls(monkeypatch):
+    """``(polynomials, columns)`` of each ``at_point`` call from ``variety``."""
     calls = []
     real = hypfield.variety.at_point
 
@@ -340,12 +342,24 @@ def test_rank_derives_the_jacobian_once(capsys, monkeypatch):
         return real(polys, env, syms)
 
     monkeypatch.setattr(hypfield.variety, "at_point", counting)
+    return calls
+
+
+def test_rank_derives_the_jacobian_once(capsys, at_point_calls):
     code, _, _ = run(capsys, "rank", "--genus", "2", "--samples", "5")
     assert code == EXIT_OK
     # no symbolic Jacobian: one pass over the 4 components' terms at each of
     # the 5 points and the origin differentiates them by the 6 generators
     # where it evaluates them
-    assert calls == [(4, 6)] * 6
+    assert at_point_calls == [(4, 6)] * 6
+
+
+def test_rank_point_takes_one_pass(capsys, at_point_calls):
+    code, out, _ = run(capsys, "rank", "--genus", "2", "--point", "1,-2,1/3,0,5,-1")
+    assert code == EXIT_OK
+    assert out.endswith("rank 4\n")
+    # the printed values and the rank come from the same pass
+    assert at_point_calls == [(4, 6)]
 
 
 def test_rank_explicit_point(capsys):

@@ -20,9 +20,16 @@ hypfield.cli rank --genus 8 --point=...`` at a generic point (rank 16) and at
 a point of deficient rank (9), captured while the rank came from the
 symbolic Jacobian's 384 derivative polynomials: unlike the counts of
 ``RANK_G8``, they pin the printed parameter values.
+
+``REDUCE`` holds the SHA-256 of the stdout of ``python -m hypfield.cli
+reduce --genus g`` fed a fixed batch on stdin, captured while the print
+order was a sorted list of ``(rank, -exponent, field)`` tuples per term.
+The batches cover 4th powers, quotients by ``(atom + c)``, rational and
+negative leading coefficients, ``la`` atoms and denominators made monic.
 """
 
 import hashlib
+import io
 
 import pytest
 
@@ -60,6 +67,39 @@ RANK_POINT_G8 = {
         "2ce81110722b72099edd0c8d09ed243937c5210626c16298d4b7b2337dde2528",
 }
 
+REDUCE = {
+    3: (
+        "p[1,1]^4\n"
+        "p[3,3]^4 - p[1,3]^2*la8\n"
+        "(p[1,1] + 2)^4\n"
+        "(p[1,1,1] - 1/2*p[1,3])^4\n"
+        "p[3,5] / (p[1,1] + 3)\n"
+        "(2*p[1,3] - 1/3) / (p[1,1,1] - 5)\n"
+        "-3/4*p[1,1,3] + la4*p[1,1]\n"
+        "la6^2 / (3*la4 + 7)\n"
+        "(p[1,1]^2 - p[1,1,1]) / (2*p[1,5] + 1/2)\n"
+        "-p[1,1,1,1]^2 + 5/7*p[3,3]*la4\n"
+        "1 / (-2/3*p[1,3] + 4)\n"
+        "p[1,1] / (3*p[1,3] + 6)\n"
+        "(p[1,1] + 1)^2 * (p[1,3] - 1) / (p[1,1] + 1)\n"
+        "p[5,5] - p[3,5]\n"
+        "la10 + la12 / (la8 - 2)\n"
+        "-7/3*p[1,1,1,5]*p[1,1]^2 / (p[1,1,5] + 1)\n"
+        "p[1,1]^2 * p[3,3] / (p[1,1]^3 * p[1,3])\n"
+        "(la14 - p[1,1,1,3])^4 / (p[3,3] - 1/5)\n",
+        "04e71eca6bf7059d50058110a6f3fdf41250a8ddc7604c534ed33d6d19f25bfc",
+    ),
+    2: (
+        "p[1,1]^4 - p[1,3]\n"
+        "(p[1,3] + 1)^4\n"
+        "p[3,3] / (p[1,1] - 2)\n"
+        "-5/6*p[1,1,3] / (4*p[1,1,1] + 1)\n"
+        "la4 * la6 - 2/9*p[1,1,1,1]\n"
+        "(la8 + p[3,3])^2 / (-3*la10 + 1/4)\n",
+        "e2d14e2da20cc2fb49237ed261dc49867683913236f5e8233d862ae25f5d5c17",
+    ),
+}
+
 
 @pytest.mark.parametrize("command,genus", sorted(GOLDEN, key=lambda k: (k[1], k[0])))
 def test_output_digest(capsys, command, genus):
@@ -87,3 +127,14 @@ def test_rank_point_digest(capsys, point):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == RANK_POINT_G8[point]
+
+
+@pytest.mark.parametrize("genus", sorted(REDUCE))
+def test_reduce_digest(capsys, monkeypatch, genus):
+    batch, digest = REDUCE[genus]
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    code = main(["reduce", "--genus", str(genus)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == batch.count("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -246,12 +246,35 @@ def ref_evaluate(a, point):
     return total
 
 
-def ref_str(a):
-    def key(item):  # heavier first, then larger exponents of earlier symbols
-        return (-sum(s.weight * e for s, e in item[0]), [(s, -e) for s, e in item[0]])
+KIND_ORDER = ["b1", "b2", "b3", "w", "la"]
 
+
+def ref_sym_key(s):
+    return KIND_ORDER.index(s.kind), s.indices
+
+
+def ref_factors(m):
+    """A monomial's factors in symbol order."""
+    return tuple(sorted(m, key=lambda f: ref_sym_key(f[0])))
+
+
+def ref_order(terms):
+    """The terms, heaviest first, then by the exponent vector over the
+    symbols (kind in b1 < b2 < b3 < w < la, then indices) descending."""
+    terms = list(terms)
+    syms = {s for m, _ in terms for s, _ in m}
+    order = sorted(syms, key=ref_sym_key)
+
+    def key(item):
+        exps = dict(item[0])
+        return sum(s.weight * e for s, e in exps.items()), [exps.get(s, 0) for s in order]
+
+    return sorted(terms, key=key, reverse=True)
+
+
+def ref_str(a):
     parts = []
-    for m, c in sorted(a.items(), key=key):
+    for m, c in ref_order(a.items()):
         mag = str(abs(c))  # Fraction prints n/d in lowest terms, n when d == 1
         mono = "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in m)
         body = mag if not m else mono if mag == "1" else f"{mag}*{mono}"
@@ -540,6 +563,75 @@ def test_sorted_terms_graded_descending():
     p = Poly.symbol(b1(1)) + Poly.symbol(b1(1)) ** 3 + Poly.const(1)
     weights = [sum(sym.weight * e for sym, e in m) for m, _ in p.sorted_terms()]
     assert weights == sorted(weights, reverse=True)
+
+
+# b, w and la symbols of genera 1 to 7, several of them used by no other
+# test, so that the draws decide the order they are registered in
+ORDER_SYMS = [
+    b1(1), b1(13), b2(1), b2(7), b3(5), b3(13),
+    w(3, 3), w(3, 11), w(7, 9), la(4), la(10), la(30),
+]
+
+
+@st.composite
+def order_terms(draw):
+    out = {}
+    for _ in range(draw(st.integers(1, 8))):
+        syms = draw(st.lists(st.sampled_from(ORDER_SYMS), max_size=4, unique=True))
+        out[ref_factors((s, draw(st.integers(1, 4))) for s in syms)] = draw(oracle_coeffs)
+    return out
+
+
+@given(order_terms())
+@settings(max_examples=150, deadline=None)
+def test_print_order_matches_oracle(terms):
+    p = Poly(terms)
+    want = ref_order(terms.items())
+    assert p.sorted_terms() == want
+    assert p.leading_coeff() == want[0][1]
+    assert str(p) == ref_str(terms)
+
+
+ORDER_SOURCE = """
+from fractions import Fraction
+from hypfield.polyring import Poly, b1, b2, b3, la, w
+
+SYMS = [b1(15), b2(9), b3(15), w(5, 13), w(11, 11), la(32), la(6)]
+
+
+def build():
+    x = [Poly.symbol(s) for s in SYMS]
+    return (
+        Fraction(-2, 3) * x[5] * x[0] + x[1] ** 2 * x[3] - 7 * x[6] * x[2] ** 3
+        + Fraction(5, 4) * x[4] * x[0] ** 2 - x[3] * x[5] + Fraction(1, 9) * x[2] * x[1]
+    ) * (x[0] - 3)
+"""
+
+
+def test_print_order_is_independent_of_registration_order():
+    # the child registers the symbols in reverse, this process in order;
+    # both must list the terms as the oracle does
+    ns = {}
+    exec(ORDER_SOURCE, ns)
+    for s in ns["SYMS"]:
+        Poly.symbol(s)
+    child = ORDER_SOURCE + (
+        "import pickle, sys\n"
+        "for s in reversed(SYMS):\n"
+        "    Poly.symbol(s)\n"
+        "p = build()\n"
+        "sys.stdout.buffer.write(pickle.dumps((str(p), p.leading_coeff(), sorted(p.terms))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, env=env, timeout=60, check=True
+    )
+    text, lead, child_layout = pickle.loads(proc.stdout)
+    p = ns["build"]()
+    want = {ref_factors(m): c for m, c in p.sorted_terms()}
+    assert child_layout != sorted(p.terms)
+    assert text == str(p) == ref_str(want)
+    assert lead == p.leading_coeff() == ref_order(want.items())[0][1]
 
 
 # --- grading ----------------------------------------------------------------
