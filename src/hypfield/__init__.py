@@ -12,6 +12,10 @@ first access to one of its attributes, so a process runs only the modules
 its work reaches: ``hypfield --version`` runs none, ``numeric`` only
 ``weierstrass``, and only ``independence`` runs ``numerics1`` and so
 imports numpy.  The names in ``__all__`` resolve on first use.
+
+The engine's frozen records whose equality must see the type, or whose
+constructor checks or derives fields, subclass ``_Record``, defined here so
+that no process loads a module for it.
 """
 
 import importlib.util
@@ -76,6 +80,48 @@ for _name in _ENGINE:
     _module.__class__ = _Lazy  # after module_from_spec has set __name__, __file__, ...
     sys.modules[f"{__name__}.{_name}"] = globals()[_name] = _module
 del _name, _module
+
+
+class _Record:
+    """A frozen record over the constructor's fields ``_fields``: no
+    assignment or ``del``, equality only with its own type, ``repr`` as
+    ``Name(field=value, ...)``, and copy and pickle through the constructor,
+    so its checks run again.  A subclass that checks or derives fields has
+    its own ``__init__``, which sets slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _has_run(module: types.ModuleType) -> bool:

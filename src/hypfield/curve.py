@@ -15,13 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from . import polyring
+from . import _Record, polyring
 from .exactmath import det_exact, det_generic
 from .relations import GenusContext
 
 
-class LambdaVector:
-    __slots__ = ("genus", "values")
+class LambdaVector(_Record):
+    __slots__ = _fields = ("genus", "values")
 
     def __init__(self, genus: int, values: Mapping[int, Fraction]):
         """``values`` maps s to la_s for s in {4, 6, ..., 4g+2}."""
@@ -30,23 +30,7 @@ class LambdaVector:
             raise ValueError(
                 f"parameter indices {sorted(values)} != {sorted(expected)}"
             )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return (
-            type(other) is LambdaVector
-            and (other.genus, other.values) == (self.genus, self.values)
-        )
-
-    def __repr__(self):
-        return f"LambdaVector(genus={self.genus}, values={self.values!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return LambdaVector, (self.genus, self.values)
+        super().__init__(genus, values)
 
     @classmethod
     def from_sequence(cls, genus: int, seq) -> "LambdaVector":

@@ -16,35 +16,20 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from . import polyring
+from . import _Record, polyring
 
 
 class IndexOutOfRange(ValueError):
     pass
 
 
-class GenusContext:
-    __slots__ = ("g",)
+class GenusContext(_Record):
+    __slots__ = _fields = ("g",)
 
     def __init__(self, g: int):
         if g < 1:
             raise ValueError("genus must be >= 1")
-        object.__setattr__(self, "g", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return type(other) is GenusContext and other.g == self.g
-
-    def __hash__(self):
-        return hash(self.g)
-
-    def __repr__(self):
-        return f"GenusContext(g={self.g})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return GenusContext, (self.g,)
+        super().__init__(g)
 
     @property
     def odd_indices(self) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
+from . import _Record
 from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
 from .relations import GenusContext, RelationId, bel1, bel2, l1_residual, pp_symbol
 
@@ -37,42 +38,29 @@ class DivisionByZeroPoly(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 # expression AST (surface symbols; built by the exprlang parser)
 
-class Const(NamedTuple):
-    value: Fraction
+class Const(_Record):
+    __slots__ = _fields = ("value",)  # a Fraction
 
 
-class PSym(NamedTuple):
-    indices: tuple  # at least two odd indices
+class PSym(_Record):
+    __slots__ = _fields = ("indices",)  # a tuple of at least two odd indices
 
 
-class Lam(NamedTuple):
-    s: int
+class Lam(_Record):
+    __slots__ = _fields = ("s",)
 
 
-class Neg(NamedTuple):
-    arg: "Expr"
+class Neg(_Record):
+    __slots__ = _fields = ("arg",)
 
 
-class BinOp(NamedTuple):
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class BinOp(_Record):
+    __slots__ = _fields = ("op", "left", "right")  # op is one of + - * /
 
 
-class Pow(NamedTuple):
-    base: "Expr"
-    exponent: int
+class Pow(_Record):
+    __slots__ = _fields = ("base", "exponent")  # exponent is an int
 
-
-# a node equals only a node of its own type: Const(4) != Lam(4) although the
-# tuples agree; equal nodes are equal tuples, so the tuple hash stays valid
-def _same_node(a, b):
-    return type(a) is type(b) and tuple.__eq__(a, b)
-
-
-for _node in (Const, PSym, Lam, Neg, BinOp, Pow):
-    _node.__eq__ = _same_node
-    _node.__ne__ = lambda a, b: not _same_node(a, b)
 
 Expr = Union[Const, PSym, Lam, Neg, BinOp, Pow]
 

@@ -39,16 +39,20 @@ class VarietySystem(NamedTuple):
     equations: tuple  # of (RelationId, Poly)
 
 
-def variety_system(ctx: GenusContext) -> VarietySystem:
-    eqs = []
+def _equations(ctx: GenusContext):
+    """The defining equations as (RelationId, residual), BEL1 then BEL2."""
     for i in ctx.odd_indices:
-        eqs.append((RelationId("BEL1", (i,)), bel1(ctx, i)))
+        yield RelationId("BEL1", (i,)), bel1(ctx, i)
     for i in ctx.odd_indices:
         for j in ctx.odd_indices:
             if i <= j:
-                eqs.append((RelationId("BEL2", (i, j)), bel2(ctx, i, j)))
+                yield RelationId("BEL2", (i, j)), bel2(ctx, i, j)
+
+
+def variety_system(ctx: GenusContext) -> VarietySystem:
+    eqs = tuple(_equations(ctx))
     assert len(eqs) == equation_count(ctx.g)
-    return VarietySystem(ctx.g, tuple(eqs))
+    return VarietySystem(ctx.g, eqs)
 
 
 class EquationStatus(NamedTuple):
@@ -88,12 +92,10 @@ class UniformizeReport(NamedTuple):
 
 
 def uniformize_check(ctx: GenusContext, table: RelationTable) -> UniformizeReport:
-    """Substitute the derived table into every defining equation."""
+    """Substitute the derived table into every defining equation, building
+    each residual only when its turn comes, so one is held at a time."""
     env = table.substitution_env()
-    system = variety_system(ctx)
-    entries = tuple(
-        EquationStatus(rid, eq.substitute(env)) for rid, eq in system.equations
-    )
+    entries = tuple(EquationStatus(rid, eq.substitute(env)) for rid, eq in _equations(ctx))
     return UniformizeReport(ctx.g, entries)
 
 

@@ -31,6 +31,8 @@ import math
 import random
 from typing import NamedTuple
 
+from . import _Record
+
 
 class DegenerateLattice(ValueError):
     """Periods are linearly dependent over R."""
@@ -95,13 +97,15 @@ def eisenstein(omega1: complex, omega2: complex):
     return _q_series(*gauss_reduce(omega1, omega2))[2:]
 
 
-class LatticeContext:
+class LatticeContext(_Record):
     """Immutable genus-1 numeric context for one period lattice: the periods
     omega1, omega2, a Gauss-reduced basis reduced1, reduced2, the invariants
-    g2, g3 and the curve parameters lambda4, lambda6."""
+    g2, g3 and the curve parameters lambda4, lambda6.  The periods are its
+    fields; everything else is derived from them."""
 
+    _fields = ("omega1", "omega2")
     __slots__ = (
-        "omega1", "omega2", "reduced1", "reduced2",
+        *_fields, "reduced1", "reduced2",
         "g2", "g3", "lambda4", "lambda6", "_powers", "_e2",
     )
 
@@ -123,24 +127,6 @@ class LatticeContext:
         )
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return (
-            type(other) is LatticeContext
-            and (other.omega1, other.omega2) == (self.omega1, self.omega2)
-        )
-
-    def __hash__(self):
-        return hash((self.omega1, self.omega2))
-
-    def __repr__(self):
-        return f"LatticeContext(omega1={self.omega1!r}, omega2={self.omega2!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return LatticeContext, (self.omega1, self.omega2)
 
     # lattice geometry -----------------------------------------------------
 

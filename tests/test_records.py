@@ -1,12 +1,16 @@
 """The package's immutable record classes: value equality, hashing where
-every field is hashable, no assignment after construction, copy and pickle."""
+every field is hashable, no assignment or deletion after construction, copy
+and pickle."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
 import pytest
 
+import hypfield
+from hypfield import _Record
 from hypfield.curve import LambdaVector
 from hypfield.exprlang import Token
 from hypfield.numerics1 import RankReport
@@ -71,16 +75,41 @@ def test_record_semantics(make, attr, hashable):
             hash(a)
     with pytest.raises(AttributeError):
         setattr(a, attr, getattr(b, attr))
+    with pytest.raises(AttributeError):
+        delattr(a, attr)
     assert a == b
     for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(c) is type(a) and c == a
 
 
-@pytest.mark.parametrize("name", ["GenusContext", "LambdaVector", "LatticeContext"])
+RECORD_TYPES = {name: type(make()) for name, (make, _, _) in RECORDS.items()}
+SLOTS_RECORDS = [name for name, cls in RECORD_TYPES.items() if issubclass(cls, _Record)]
+
+
+def test_every_engine_record_is_checked():
+    found = set()
+    for module_name in hypfield._ENGINE:
+        module = getattr(hypfield, module_name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__:
+                continue  # imported, checked where it is defined
+            if issubclass(cls, _Record) or (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+                found.add(name)
+    assert found - set(RECORDS) == set()
+
+
+@pytest.mark.parametrize("name", SLOTS_RECORDS)
 def test_slots_records_show_their_fields(name):
     a = RECORDS[name][0]()
     assert repr(a).startswith(f"{name}(")
-    assert eval(repr(a), {name: type(a), "Fraction": Fraction}) == a
+    assert eval(repr(a), {**RECORD_TYPES, "Fraction": Fraction}) == a
+
+
+def test_record_constructor_takes_each_field_once():
+    assert BinOp(op="+", left=Lam(4), right=Lam(6)) == BinOp("+", Lam(4), right=Lam(6))
+    for bad in (lambda: Lam(), lambda: Lam(4, 6), lambda: Lam(4, s=4), lambda: Lam(t=4)):
+        with pytest.raises(TypeError, match="^Lam takes the fields s$"):
+            bad()
 
 
 def test_expression_nodes_compare_by_type():

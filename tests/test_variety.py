@@ -1,13 +1,18 @@
 """Ambient variety, uniformization check, and the parameter projection."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from pathlib import Path
 
 import pytest
 import sympy
 
+import hypfield
 from hypfield.exactmath import rank_exact
 from hypfield.polyring import Poly, at_point, b1, b2, b3
 from hypfield.relations import GenusContext
@@ -98,6 +103,39 @@ def test_uniformize_detects_corruption():
     assert not report.passed
     assert report.zero_count < equation_count(g)
     assert any("NONZERO" in line for line in report.lines())
+
+
+# A child's peak RSS counts its parent's RSS at the fork, so the two
+# processes are started from a small probe process, not from the test runner.
+RSS_PROBE = """
+import os, sys
+
+def peak_rss_mb(*argv):
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, *argv], os.environ,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # kB on Linux
+
+print(peak_rss_mb("-c", "from hypfield.relations import GenusContext\\n"
+                        "from hypfield.rewriter import build_table\\n"
+                        "build_table(GenusContext(48))"),
+      peak_rss_mb("-m", "hypfield.cli", "verify", "--genus", "48"))
+"""
+
+
+def test_verify_holds_one_residual_at_a_time():
+    # building every residual before substituting any costs about 9.5 MB
+    # over the table at g=48; one residual at a time costs about 1 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    build_only, verify = map(float, proc.stdout.split())
+    assert verify - build_only < 4.0, (build_only, verify)
 
 
 # --- parameter projection ---------------------------------------------------
