@@ -316,7 +316,7 @@ def cmd_independence(args) -> int:
         print("single-lattice control:")
         for line in control.lines():
             print(line)
-        ok = report.full_rank and control.deficiency == 1
+        ok = report.deficiency == report.forced and control.deficiency == 1
     else:
         ok = True
     return EXIT_OK if ok else EXIT_NUMERIC

@@ -47,6 +47,26 @@ def _monomials(weights: tuple, bound: int) -> list:
     return sorted(_exponents(weights, bound), key=lambda exps: (weight(exps), exps))
 
 
+def _invariants(d: int) -> int:
+    """N(d): the monomials R4^i R6^j of weight 4i + 6j <= d."""
+    return sum((d - 6 * j) // 4 + 1 for j in range(d // 6 + 1)) if d >= 0 else 0
+
+
+def forced_kernel(lattices: int, weight_bound: int) -> int:
+    """The kernel that ``lattices`` generic lattices force on the monomials
+    in wp, wp', wp'' of weight <= ``weight_bound``.
+
+    On each lattice R4 = wp'' - 6 wp^2 and R6 = wp'^2 + 8 wp^3 - 2 wp wp''
+    are constants, so the monomials span a free graded Q[R4, R6]-module
+    with basis wp^a (weight 2a) and wp' wp^a (weight 2a + 3).  The multiples
+    of a basis element b of weight w_b reach N(W - w_b) monomials in R4 and
+    R6, and L lattices tell at most L of them apart, so b contributes
+    max(0, N(W - w_b) - L) kernel vectors.  None is forced from
+    N(W) lattices on."""
+    weights = [*range(0, weight_bound + 1, 2), *range(3, weight_bound + 1, 2)]
+    return sum(max(0, _invariants(weight_bound - w) - lattices) for w in weights)
+
+
 class RankReport(NamedTuple):
     mode: str                 # "multi-lattice" or "single-lattice"
     generator_names: tuple
@@ -57,6 +77,7 @@ class RankReport(NamedTuple):
     singular_values: tuple
     threshold: float
     kernel: Optional[tuple]   # single-lattice mode only
+    forced: Optional[int] = None  # multi-lattice mode only: forced_kernel's count
 
     @property
     def sigma_min(self) -> float:
@@ -101,6 +122,11 @@ class RankReport(NamedTuple):
             out.append("verdict: FULL RANK")
         else:
             out.append(f"verdict: DEFICIENCY {self.deficiency}")
+        if self.forced is not None:
+            out.append(
+                f"forced kernel: {self.forced}; none from "
+                f"{_invariants(self.weight_bound)} lattices"
+            )
         if self.kernel is not None:
             # rounded to the printed places first, and + 0.0 turns -0.0 into
             # 0.0, so a part that is rounding noise prints as +0.000000
@@ -188,4 +214,5 @@ def independence_experiment(
         singular_values=tuple(float(s) for s in svals),
         threshold=threshold,
         kernel=kernel,
+        forced=None if single else forced_kernel(lattice_count, weight_bound),
     )

@@ -37,13 +37,13 @@ positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
 equal polynomials have equal ``terms`` and ``den``.
 
 Printing, ``sorted_terms`` and ``leading_coeff`` order the terms by one int
-per monomial, its order key: the weight above one 16-bit field per
-registered symbol, the fields in symbol order with the first symbol's
-highest.  Keys compare as (weight, exponent vector in symbol order) do
-lexicographically, so a descending sort of the keys is the print order in
-any process, whatever order it registered its symbols in; the key layout
-is rebuilt from the registry when the registry has grown.  Reading a key's
-nonzero fields from the top gives the term's factors in symbol order.
+per monomial, its order key: the weight above one 16-bit field per symbol
+of the polynomial itself, the fields in symbol order with the first
+symbol's highest.  Keys compare as (weight, exponent vector in symbol order)
+do lexicographically, so a descending sort of the keys is the print order in
+any process, whatever order it registered its symbols in, and a key's width
+does not grow with the registry.  Reading a key's nonzero fields from the
+top gives the term's factors in symbol order.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1  # 32767; the field's top bit is the
 # The registry, one entry per field in order of first use: the symbol, its
 # packed first power (field bit plus weight) and its printed name.  It only
 # grows, and no packed value leaves this module, so sharing it across the
-# process is invisible to callers; the lock keeps concurrent first uses of a
-# symbol from taking two fields.
+# process is invisible to callers; the lock, taken only in ``_field``, keeps
+# concurrent first uses of a symbol from taking two fields.
 _SYMS: list = []
 _UNITS: list = []
 _NAMES: list = []
@@ -215,49 +215,30 @@ def _pack(mono) -> int:
     return m
 
 
-# Where an order key (see the module docstring) keeps each field, as the
-# tuple (shifts, syms, names, top, below): shifts[i] is the key position of
-# field i's exponent, syms[j] and names[j] the symbol of key field j and its
-# name, top the key position of the weight, and below[i] the mask of the
-# fields under field i, in a key or a monomial.
-_layout = ([], [], [], 0, [])
+def _keyed(terms: dict) -> tuple:
+    """The order key of every term, as ``(key, numerator)`` pairs in no
+    particular order, with the fields present in the terms in ``Symbol``
+    order, last symbol first, and the key position of the weight.
 
-
-def _print_layout() -> tuple:
-    """The layout for every symbol registered so far, rebuilt once one more
-    has registered."""
-    global _layout
-    layout = _layout
-    if len(layout[0]) != len(_SYMS):
-        with _registry_lock:
-            n = len(_SYMS)
-            fields = sorted(range(n), key=_SYMS.__getitem__, reverse=True)  # key field j -> field
-            shifts = [0] * n
-            for j, i in enumerate(fields):
-                shifts[i] = _FIELD_BITS * j
-            layout = _layout = (
-                shifts, [_SYMS[i] for i in fields], [_NAMES[i] for i in fields], _FIELD_BITS * n,
-                [(1 << _FIELD_BITS * i) - 1 for i in range(n)],
-            )
-    return layout
-
-
-def _keyed(terms: dict, layout: tuple) -> list:
-    """``(order key, numerator)`` for every term, in no particular order.
-
-    Like ``_factors`` it visits only the nonzero fields, top first; it is
-    written out because keying every term is much of what printing costs."""
-    shifts, _, _, top, below = layout
+    Key field j holds the exponent of field ``fields[j]``, so a key spans
+    only the polynomial's own symbols.  Like ``_factors`` it visits only the
+    nonzero fields, top first; it is written out because keying every term
+    is much of what printing costs."""
+    present = (i for i, _ in _factors(reduce(or_, terms, 0)))
+    fields = sorted(present, key=_SYMS.__getitem__, reverse=True)
+    shifts = {_FIELD_BITS * i: _FIELD_BITS * j for j, i in enumerate(fields)}  # monomial -> key
+    top = _FIELD_BITS * len(fields)
     out = []
     for m, c in terms.items():
         k = (m & _WEIGHT_MASK) << top
         x = m >> _WEIGHT_BITS
         while x:
-            i = (x.bit_length() - 1) // _FIELD_BITS
-            k += (x >> _FIELD_BITS * i) << shifts[i]
-            x &= below[i]
+            shift = _FIELD_BITS * ((x.bit_length() - 1) // _FIELD_BITS)
+            e = x >> shift
+            k += e << shifts[shift]
+            x ^= e << shift
         out.append((k, c))
-    return out
+    return out, fields, top
 
 
 def _poly(terms: dict, den: int = 1) -> "Poly":
@@ -452,18 +433,18 @@ class Poly:
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant hashes as the Fraction it equals
+            return hash(Fraction(self.terms.get(0, 0), self.den))
         return hash((frozenset(self.terms.items()), self.den))
 
     def sorted_terms(self) -> list:
         """``[(((Symbol, exponent), ...), Fraction), ...]`` in print order."""
-        layout = _print_layout()
-        _, syms, _, top, _ = layout
+        keyed, fields, top = _keyed(self.terms)
         mask = (1 << top) - 1
-        keyed = _keyed(self.terms, layout)
         keyed.sort(reverse=True)
         return [  # a key's fields, moved above the weight bits, read as a monomial's
             (
-                tuple((syms[j], e) for j, e in _factors((k & mask) << _WEIGHT_BITS)),
+                tuple((_SYMS[fields[j]], e) for j, e in _factors((k & mask) << _WEIGHT_BITS)),
                 Fraction(c, self.den),
             )
             for k, c in keyed
@@ -472,7 +453,7 @@ class Poly:
     def leading_coeff(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return Fraction(max(_keyed(self.terms, _print_layout()))[1], self.den)
+        return Fraction(max(_keyed(self.terms)[0])[1], self.den)
 
     def symbols(self) -> set:
         return {_SYMS[i] for i, _ in _factors(reduce(or_, self.terms, 0))}
@@ -535,10 +516,8 @@ class Poly:
         if not self.terms:
             return "0"
         den = self.den
-        layout = _print_layout()
-        _, _, names, top, below = layout
+        keyed, fields, top = _keyed(self.terms)
         mask = (1 << top) - 1
-        keyed = _keyed(self.terms, layout)
         keyed.sort(reverse=True)
         parts = []
         for k, c in keyed:
@@ -549,8 +528,9 @@ class Poly:
             while x:
                 j = (x.bit_length() - 1) // _FIELD_BITS
                 e = x >> _FIELD_BITS * j
-                x &= below[j]
-                factors.append(names[j] if e == 1 else f"{names[j]}^{e}")
+                x ^= e << _FIELD_BITS * j
+                name = _NAMES[fields[j]]
+                factors.append(name if e == 1 else f"{name}^{e}")
             mono = "*".join(factors)
             if not mono:
                 body = mag

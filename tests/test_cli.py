@@ -437,6 +437,19 @@ def test_independence_with_control(capsys):
     assert "kernel:" in out
 
 
+def test_independence_passes_with_the_kernel_two_lattices_force(capsys):
+    code, out, _ = run(capsys, "independence", "--lattices", "2")
+    assert code == EXIT_OK
+    assert "verdict: DEFICIENCY 3\nforced kernel: 3; none from 4 lattices\n" in out
+    assert "verdict: DEFICIENCY 1\n" in out.partition("single-lattice control:\n")[2]
+
+
+def test_independence_fails_on_a_kernel_above_the_forced_one(capsys):
+    code, out, _ = run(capsys, "independence", "--tol", "0.9")
+    assert code == EXIT_NUMERIC
+    assert "forced kernel: 0; none from 4 lattices\n" in out
+
+
 def test_independence_control_too_small_is_a_usage_error(capsys):
     # 30 rows cover the main run's 15 columns, but the single-lattice
     # control has 5 rows for its 7 columns; nothing may be printed first

@@ -4,8 +4,10 @@ the genus-3 symbolic discriminant.
 The digests below are SHA-256 hashes of the stdout of
 ``python -m hypfield.cli {table,verify} --genus g`` for g = 1..8, captured
 before the exact ``Poly.__pow__`` and the one-pass ``Poly.substitute``
-replaced the previous loops.  Any change to the polynomial core must keep
-every byte of these outputs.
+replaced the previous loops, and of ``table --genus 32``, captured while
+every order key spanned one field per symbol registered in the process (656
+at g = 32).  Any change to the polynomial core must keep every byte of
+these outputs.
 
 ``SYMBOLIC_DISC_G3`` is the SHA-256 of ``str(symbolic_discriminant(
 GenusContext(3))) + "\n"``, captured while the discriminant was still the
@@ -54,6 +56,7 @@ GOLDEN = {
     ("verify", 7): "87137f2f720d500726f692523de84a3fe071a8ad1304ddc9324ced6847ae420f",
     ("table", 8): "b7dbd3ae637ee5c76d5a33799f9f372eb4a17b68a070d2d7e97e067e9597c2e1",
     ("verify", 8): "6ca3f3d1c703759dcebbc8d2d069b2c0a897acc7ebcec51277ac3215fbc10301",
+    ("table", 32): "24ec0ef9e90acd7ffc71ba2fdc0fef8eb40f00dc1c5c868017366bb6ea374809",
 }
 
 SYMBOLIC_DISC_G3 = "7b24fb2f6b1387e9695bd04dbba589b2884f2a18bab5ca507864dabfba55b213"

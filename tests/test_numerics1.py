@@ -21,7 +21,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypfield import numerics1, weierstrass
-from hypfield.numerics1 import InsufficientSamples, RankReport, _monomials, independence_experiment
+from hypfield.numerics1 import (
+    InsufficientSamples,
+    RankReport,
+    _invariants,
+    _monomials,
+    forced_kernel,
+    independence_experiment,
+)
 from hypfield.weierstrass import (
     DegenerateLattice,
     LatticeContext,
@@ -418,6 +425,26 @@ def test_monomials_three_generators_count():
     for a, b, c in monos:
         assert 2 * a + 3 * b + 4 * c <= 8
     assert len(monos) == len(set(monos))
+
+
+def test_forced_kernel_counts_the_module_over_r4_and_r6():
+    # the basis wp^a (weight 2a) and wp' wp^a (weight 2a + 3) times the
+    # N(W - w_b) monomials in R4, R6 are all the monomials in wp, wp', wp''
+    for bound in range(31):
+        weights = [*range(0, bound + 1, 2), *range(3, bound + 1, 2)]
+        assert sum(_invariants(bound - w) for w in weights) == len(_monomials((2, 3, 4), bound))
+    assert [_invariants(d) for d in range(-2, 13)] == [0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 7]
+    assert forced_kernel(2, 8) == 3 and forced_kernel(6, 12) == 1
+    assert forced_kernel(8, 12) == forced_kernel(6, 10) == forced_kernel(6, 8) == 0
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_forced_kernel_is_the_measured_deficiency(seed):
+    for lattices in (2, 3, 4, 6, 8):
+        for bound in (4, 6, 8, 10, 12, 14):
+            report = independence_experiment(lattices, 40, bound, seed)
+            assert report.forced == forced_kernel(lattices, bound)
+            assert report.deficiency == report.forced, (lattices, bound)
 
 
 def test_multi_lattice_experiment_full_rank():

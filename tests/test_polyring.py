@@ -175,6 +175,20 @@ def test_scalar_coercion(p):
     assert 1 - p == Poly.one() - p
 
 
+@given(st.one_of(st.integers(), st.fractions()))
+@settings(max_examples=60, deadline=None)
+def test_constant_hashes_like_the_number_it_equals(q):
+    p = Poly.const(q)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1 and q in {p} and p in {q}
+
+
+def test_zero_and_one_hash_like_their_numbers():
+    assert hash(Poly.zero()) == hash(0) and hash(Poly.one()) == hash(1)
+    assert {Poly.zero(): "zero"}[0] == "zero"
+    assert hash(Poly.symbol(b1(1))) != hash(Poly.one())
+
+
 @given(polys())
 @settings(max_examples=30, deadline=None)
 def test_product_with_one_is_the_other_factor(p):
@@ -632,6 +646,33 @@ def test_print_order_is_independent_of_registration_order():
     assert child_layout != sorted(p.terms)
     assert text == str(p) == ref_str(want)
     assert lead == p.leading_coeff() == ref_order(want.items())[0][1]
+
+
+WIDE_REGISTRY_SOURCE = """
+import tracemalloc
+from hypfield.polyring import Poly, b1, b2, w
+
+for l in range(3, 128, 2):
+    for k in range(3, l + 1, 2):
+        Poly.symbol(w(k, l))
+p = Poly.symbol(b1(1)) * Poly.symbol(b2(3)) + 3
+tracemalloc.start()
+text = str(p)
+print(text, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_printing_does_not_grow_with_the_registry():
+    # 2,016 w_k_l symbols that the printed polynomial does not contain are
+    # registered before its own two; its order keys must span only those two
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WIDE_REGISTRY_SOURCE],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    text, peak = proc.stdout.rsplit(" ", 1)
+    assert text == "b1_1*b2_3 + 3"
+    assert int(peak) < 500_000
 
 
 # --- grading ----------------------------------------------------------------
