@@ -303,13 +303,17 @@ def cmd_numeric(args) -> int:
 
 
 def cmd_independence(args) -> int:
-    # both experiments run before anything is printed, so a usage error in
-    # the single-lattice control leaves stdout empty
+    # the control's sample count is checked before any sampling, and both
+    # experiments run before anything is printed
+    if args.lattices > 1:
+        numerics1.check_control_samples(args.samples)
     report = numerics1.independence_experiment(
         args.lattices, args.samples, args.weight_bound, args.seed, args.tol
     )
     if args.lattices > 1:
-        control = numerics1.independence_experiment(1, args.samples, 6, args.seed, args.tol)
+        control = numerics1.independence_experiment(
+            1, args.samples, numerics1.CONTROL_WEIGHT_BOUND, args.seed, args.tol
+        )
     for line in report.lines():
         print(line)
     if args.lattices > 1:

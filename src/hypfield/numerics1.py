@@ -1,16 +1,27 @@
 """Genus-1 rank experiment: numeric independence of monomials in wp, wp', wp''.
 
 The genus-1 functions it samples live in the pure-Python module
-``weierstrass``.  Only this module imports numpy.
+``weierstrass``.  Only this module imports numpy, with one OpenBLAS thread
+unless the caller set ``OPENBLAS_NUM_THREADS``: the matrices are a few
+hundred rows by a few dozen columns, for which starting the thread pool
+costs far more than it saves.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from typing import NamedTuple, Optional
 
-import numpy as np
+_THREADS_UNSET = "OPENBLAS_NUM_THREADS" not in os.environ
+if _THREADS_UNSET:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _THREADS_UNSET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import MAX_SAMPLE_ROWS
 from .weierstrass import _wp_all, random_lattice, random_sample_point
@@ -139,6 +150,22 @@ class RankReport(NamedTuple):
             ]
             out.append("kernel: " + "; ".join(terms))
         return out
+
+
+# the single-lattice control: monomials in wp, wp' of weight <= 6, whose one
+# kernel vector is the cubic
+CONTROL_WEIGHT_BOUND = 6
+
+
+def check_control_samples(samples: int) -> None:
+    """Refuse, before any sampling, fewer samples than the single-lattice
+    control has columns."""
+    need = len(_monomials((2, 3), CONTROL_WEIGHT_BOUND))
+    if samples < need:
+        raise InsufficientSamples(
+            f"the single-lattice control needs {need} samples, one per monomial in "
+            f"wp, wp' of weight <= {CONTROL_WEIGHT_BOUND}; got {samples}"
+        )
 
 
 def independence_experiment(

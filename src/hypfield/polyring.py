@@ -24,10 +24,13 @@ Maple 14", 2009), so a monomial product is one integer addition:
 A symbol gets the next free field the first time any polynomial uses it, so
 the layout depends on the order of first use within a process.  Nothing
 outside this module sees it: callers go through ``Poly(terms)``,
-``Poly.symbol``, ``Poly.sum_of_products``, ``sorted_terms``, ``coeff``,
-``symbols``, ``at_point`` and ``strip_common_monomial``, which speak in
-symbols and ``(Symbol, exponent)`` tuples, and pickling stores that
-symbolic form.  Each exponent is at most ``MAX_EXPONENT`` (32,767); a sum
+``Poly.symbol``, ``Poly.sum_of_products``, ``sorted_terms``, ``symbols``,
+``at_point`` and ``strip_common_monomial``, which speak in symbols and
+``(Symbol, exponent)`` tuples, and pickling stores that symbolic form.  A
+symbol that ``Poly.sum_of_products`` finds in its ``env`` is replaced by its
+image while the products are summed and takes no field, so deriving and
+checking the relation table gives fields to the 3g generators alone.  Each
+exponent is at most ``MAX_EXPONENT`` (32,767); a sum
 of two exponents below the cap never carries out of its field, and a
 product or power that sets a guard bit raises ``ExponentOverflow`` instead
 of wrapping.
@@ -304,26 +307,61 @@ class Poly:
         return _poly({_UNITS[_field(sym)]: 1})
 
     @classmethod
-    def sum_of_products(cls, products) -> "Poly":
+    def sum_of_products(cls, products, env=None) -> "Poly":
         """The sum of ``c * s1 * s2 * ...`` over ``(c, s1, s2, ...)`` tuples
-        with an int ``c`` and Symbols ``s1, s2, ...``.
+        with an int ``c`` and Symbols ``s1, s2, ...``, with every symbol
+        that ``env`` maps replaced by its polynomial image: the same as
+        ``sum_of_products(products).substitute(env)``.
 
-        Each product goes straight into one packed monomial over
-        denominator 1: no factor becomes a ``Poly`` of its own."""
-        out = {}
-        get = out.get
+        A product's unmapped symbols go straight into one packed monomial
+        and its mapped ones multiply into one image, whose terms are added
+        in shifted by that monomial; with no unmapped symbol they keep the
+        image's own monomial ints.  No unmapped symbol becomes a ``Poly``.
+        The numerators are added into one running dict per denominator."""
+        env = env or {}
+        groups = {1: {}}  # denominator -> {monomial: numerator}
         for c, *syms in products:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient must be an int, got {c!r}")
             m = 0
+            term = None
             for sym in syms:
-                m += _UNITS[_field(sym)]
+                image = env.get(sym)
+                if image is None:
+                    m += _UNITS[_field(sym)]
+                else:
+                    term = image if term is None else term * image
             # a guard bit is set once a symbol repeats more than MAX_EXPONENT
             # times; the field could wrap past it only at 2**16 factors
             if m & _guard or len(syms) >> _FIELD_BITS:
                 raise ExponentOverflow(f"a product raises an exponent above {MAX_EXPONENT}")
-            out[m] = get(m, 0) + c
-        return _poly(out)
+            if term is None:
+                acc = groups[1]
+                acc[m] = acc.get(m, 0) + c
+                continue
+            items = term.terms.items()
+            if m:
+                items = [(mono + m, v) for mono, v in items]
+                # as in _check_overflow: the OR of the image's monomials
+                # bounds its fields; only a bound that reaches a guard bit
+                # sends the shifted monomials to be tested
+                shifted = (mono for mono, _ in items)
+                if (m + reduce(or_, term.terms, 0)) & _guard and reduce(or_, shifted, 0) & _guard:
+                    raise ExponentOverflow(f"a product raises an exponent above {MAX_EXPONENT}")
+            acc = groups.setdefault(term.den, {})
+            get = acc.get
+            for mono, v in items:
+                acc[mono] = get(mono, 0) + c * v
+        if len(groups) == 1:
+            return _poly(groups[1])
+        den = lcm(*groups)
+        out = {}
+        get = out.get
+        for d, acc in groups.items():
+            scale = den // d
+            for mono, v in acc.items():
+                out[mono] = get(mono, 0) + v * scale
+        return _poly(out, den)
 
     # ring operations ------------------------------------------------------
 
@@ -457,13 +495,6 @@ class Poly:
 
     def symbols(self) -> set:
         return {_SYMS[i] for i, _ in _factors(reduce(or_, self.terms, 0))}
-
-    def coeff(self, sym: Symbol) -> Fraction:
-        """Coefficient of the term that is ``sym`` alone, to the first power."""
-        i = _FIELD_OF.get(sym)
-        if i is None:
-            return Fraction(0)
-        return Fraction(self.terms.get(_UNITS[i], 0), self.den)
 
     # structural operations ------------------------------------------------
 

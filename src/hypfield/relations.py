@@ -1,11 +1,14 @@
 """Exact constructors for the three relation families.
 
-Every relation is represented as a left-minus-right residual polynomial, so
-"reduces to zero" is the single verification predicate used everywhere
-downstream.  The two-index cutoff (symbols with an index >= 2g+1 vanish) and
-the Kronecker-delta bookkeeping live here.  A BEL1 or BEL2 residual is a list
-of ``(int coefficient, symbol, ...)`` products summed by one
-``Poly.sum_of_products`` call.
+Every relation is represented as a left-minus-right residual, so "reduces
+to zero" is the single verification predicate used everywhere downstream.
+The two-index cutoff (symbols with an index >= 2g+1 vanish) and the
+Kronecker-delta bookkeeping live here.  A BEL1 or BEL2 residual, and each
+xi-coefficient of the L1 series, is a list of ``(int coefficient, symbol,
+...)`` products; ``bel1`` and ``bel2`` sum theirs by one
+``Poly.sum_of_products`` call, with an optional substitution applied while
+summing.  The ``XiSeries`` product of ``l1_residual`` is the reference the
+L1 products are tested against; the derivation does not use it.
 
 ``polyring`` is reached through the module, so a process that only reads
 ``GenusContext`` (``disc`` does) runs no polynomial code.
@@ -76,14 +79,15 @@ def pp_symbol(ctx: GenusContext, k: int, l: int) -> polyring.Poly:
     return polyring.Poly.zero() if sym is None else polyring.Poly.symbol(sym)
 
 
-def _residual(products: list) -> polyring.Poly:
-    """The sum of ``(c, symbol, ...)`` products; a product with a two-index
-    factor cut to zero (None) is dropped."""
-    return polyring.Poly.sum_of_products(p for p in products if None not in p)
+def _cut(products: list) -> list:
+    """The products without those that have a two-index factor cut to zero
+    (None)."""
+    return [p for p in products if None not in p]
 
 
-def bel1(ctx: GenusContext, i: int) -> polyring.Poly:
-    """Residual of the first relation family at odd index i."""
+def bel1_products(ctx: GenusContext, i: int) -> list:
+    """The first relation family at odd index i as ``(c, symbol, ...)``
+    products."""
     _check_odd_index(ctx, i)
     pp = partial(_two_index, ctx)
     products = [
@@ -94,12 +98,12 @@ def bel1(ctx: GenusContext, i: int) -> polyring.Poly:
     ]
     if i == 1:
         products.append((-2, polyring.la(4)))
-    return _residual(products)
+    return _cut(products)
 
 
-def bel2(ctx: GenusContext, i: int, j: int) -> polyring.Poly:
-    """Residual of the second (quadratic) relation family at (i, j):
-    b2_i b2_j minus its right-hand side."""
+def bel2_products(ctx: GenusContext, i: int, j: int) -> list:
+    """The second (quadratic) relation family at (i, j), b2_i b2_j minus its
+    right-hand side, as ``(c, symbol, ...)`` products."""
     _check_odd_index(ctx, i)
     _check_odd_index(ctx, j)
     pp = partial(_two_index, ctx)
@@ -125,7 +129,49 @@ def bel2(ctx: GenusContext, i: int, j: int) -> polyring.Poly:
         # the delta factor vanishes unless |i-j| <= 2, which keeps s <= 4g+2
         assert s in ctx.lambda_indices, (i, j, s)
         products.append((-2 * factor, polyring.la(s)))
-    return _residual(products)
+    return _cut(products)
+
+
+def bel1(ctx: GenusContext, i: int, env=None) -> polyring.Poly:
+    """Residual of the first relation family at odd index i, with the
+    symbols ``env`` maps replaced by their images."""
+    return polyring.Poly.sum_of_products(bel1_products(ctx, i), env)
+
+
+def bel2(ctx: GenusContext, i: int, j: int, env=None) -> polyring.Poly:
+    """Residual of the second relation family at (i, j), with the symbols
+    ``env`` maps replaced by their images."""
+    return polyring.Poly.sum_of_products(bel2_products(ctx, i, j), env)
+
+
+def l1_products(ctx: GenusContext, n: int) -> list:
+    """The xi^n coefficient of ``l1_residual``, n in -1..2g, as ``(c,
+    symbol, ...)`` products over the index pairs of each series product.
+
+    With B_k[i] the level-k generator at power i (b_k with index 2i - 1,
+    zero outside 1..g) and Q the series (1 - b1)^2, the coefficient is
+    4 la_{2n+2} (4 at n = -1) minus sum_{i+j=n} B2[i] B2[j], 2 B3[n],
+    -2 sum_{i+j=n} B3[i] B1[j], 4 Q[n+1] and 8 b1_1 Q[n]."""
+    g = ctx.g
+    b1, b2, b3 = polyring.b1, polyring.b2, polyring.b3
+
+    def at(maker, i):  # B_k[i]
+        return maker(2 * i - 1) if 1 <= i <= g else None
+
+    def pairs(k):  # (i, j) with i + j = k, both in 1..g
+        return [(i, k - i) for i in range(max(1, k - g), min(g, k - 1) + 1)]
+
+    def square(k):  # Q[k] = [k == 0] - 2 B1[k] + sum_{i+j=k} B1[i] B1[j]
+        out = [(-2, at(b1, k))] + [(1, at(b1, i), at(b1, j)) for i, j in pairs(k)]
+        return out + [(1,)] if k == 0 else out
+
+    products = [(4,)] if n == -1 else [(4, polyring.la(2 * n + 2))] if n > 0 else []
+    products += [(-1, at(b2, i), at(b2, j)) for i, j in pairs(n)]
+    products.append((-2, at(b3, n)))
+    products += [(2, at(b3, i), at(b1, j)) for i, j in pairs(n)]
+    products += [(-4 * c, *syms) for c, *syms in square(n + 1)]
+    products += [(-8 * c, b1(1), *syms) for c, *syms in square(n)]
+    return _cut(products)
 
 
 def generator_series(ctx: GenusContext, level: int) -> polyring.XiSeries:

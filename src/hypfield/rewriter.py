@@ -4,9 +4,13 @@ The pipeline runs in a fixed order — curve parameters from the generating
 series, then the (3, l) entries from the first relation family, then the
 (k, l) entries with k >= 5 from the second family with the first index
 ascending — so that every extraction only references symbols that are
-already known.  The result is a RelationTable mapping every la_s and every
-w_k_l to a homogeneous polynomial in the 3g generators, plus a reducer that
-rewrites arbitrary expressions into the fraction field of those generators.
+already known.  Each entry is solved from its relation's product list: the
+products of the target alone give its coefficient, and the rest are summed
+with the entries already derived substituted, so no residual is built in
+the la and w symbols.  The result is a RelationTable mapping every la_s and
+every w_k_l to a homogeneous polynomial in the 3g generators, plus a
+reducer that rewrites arbitrary expressions into the fraction field of
+those generators.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from typing import Mapping, NamedTuple, Union
 
 from . import _Record
 from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
-from .relations import GenusContext, RelationId, bel1, bel2, l1_residual, pp_symbol
+from .relations import (
+    GenusContext, RelationId, bel1_products, bel2_products, l1_products, pp_symbol,
+)
 
 
 class InternalInconsistency(RuntimeError):
@@ -107,16 +113,17 @@ def _substitution_env(lam: Mapping[int, Poly], w_entries: Mapping[tuple, Poly]) 
     return env
 
 
-def _solve(residual: Poly, target: Symbol, env: dict, label: str) -> Poly:
-    """Solve ``residual = 0`` for ``target``, which must occur alone in one
-    term, to the first power; ``env`` resolves every other non-generator."""
-    lin = residual.coeff(target)
+def _solve(products: list, target: Symbol, env: dict, label: str) -> Poly:
+    """Solve the sum of ``(c, symbol, ...)`` products = 0 for ``target``,
+    which must occur alone in one term, to the first power; ``env``
+    resolves every other non-generator while the rest is summed."""
+    lin = sum(p[0] for p in products if p[1:] == (target,))
     if not lin:
         raise UnresolvedSymbol(f"{target.name} does not occur linearly in {label}")
-    rest = residual - lin * Poly.symbol(target)
-    if target in rest.symbols():
+    if Poly.sum_of_products(p for p in products if target in p[1:] and p[1:] != (target,)):
         raise UnresolvedSymbol(f"{target.name} occurs nonlinearly in {label}")
-    solved = (-1 / lin) * rest.substitute(env)
+    rest = (p for p in products if target not in p[1:])
+    solved = Fraction(-1, lin) * Poly.sum_of_products(rest, env)
     bad = [s for s in solved.symbols() if s.kind not in ("b1", "b2", "b3")]
     if bad:
         raise UnresolvedSymbol(f"{target.name} still contains {sorted(s.name for s in bad)}")
@@ -126,16 +133,15 @@ def _solve(residual: Poly, target: Symbol, env: dict, label: str) -> Poly:
 def derive_lambda(ctx: GenusContext) -> tuple[dict, dict]:
     """Curve parameters ``{s: polynomial}`` and their provenance labels,
     from the xi-coefficients of the generating series."""
-    residual = l1_residual(ctx)
-    if not residual[-1].is_zero():
+    if Poly.sum_of_products(l1_products(ctx, -1)):
         raise InternalInconsistency("xi^-1 coefficient of the series is not 4")
-    if not residual[0].is_zero():
+    if Poly.sum_of_products(l1_products(ctx, 0)):
         raise InternalInconsistency("xi^0 coefficient of the series is not 0")
     out, provenance = {}, {}
     for i in range(1, 2 * ctx.g + 1):
         s = 2 * i + 2
         label = f"L1[xi^{i}]"
-        out[s] = _solve(residual[i], la(s), {}, label)
+        out[s] = _solve(l1_products(ctx, i), la(s), {}, label)
         provenance[f"la_{s}"] = label
     return out, provenance
 
@@ -149,7 +155,7 @@ def derive_w3(ctx: GenusContext, lambda_table: dict) -> tuple[dict, dict]:
         if l < 3:
             continue
         label = str(RelationId("BEL1", (l,)))
-        out[(3, l)] = _solve(bel1(ctx, l), w(3, l), env, label)
+        out[(3, l)] = _solve(bel1_products(ctx, l), w(3, l), env, label)
         provenance[f"w_3_{l}"] = label
     return out, provenance
 
@@ -163,7 +169,7 @@ def extract_from_bel2(
     instance to a pure-generator polynomial.  Raises UnresolvedSymbol when
     it does not, which signals an invalid extraction path.
     """
-    return _solve(bel2(ctx, i, j), w(*target), env, str(RelationId("BEL2", (i, j))))
+    return _solve(bel2_products(ctx, i, j), w(*target), env, str(RelationId("BEL2", (i, j))))
 
 
 def derive_w_high(ctx: GenusContext, lambda_table: dict, w3_table: dict) -> tuple[dict, dict]:

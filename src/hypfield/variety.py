@@ -39,14 +39,15 @@ class VarietySystem(NamedTuple):
     equations: tuple  # of (RelationId, Poly)
 
 
-def _equations(ctx: GenusContext):
-    """The defining equations as (RelationId, residual), BEL1 then BEL2."""
+def _equations(ctx: GenusContext, env=None):
+    """The defining equations as (RelationId, residual), BEL1 then BEL2,
+    with the symbols ``env`` maps replaced by their images."""
     for i in ctx.odd_indices:
-        yield RelationId("BEL1", (i,)), bel1(ctx, i)
+        yield RelationId("BEL1", (i,)), bel1(ctx, i, env)
     for i in ctx.odd_indices:
         for j in ctx.odd_indices:
             if i <= j:
-                yield RelationId("BEL2", (i, j)), bel2(ctx, i, j)
+                yield RelationId("BEL2", (i, j)), bel2(ctx, i, j, env)
 
 
 def variety_system(ctx: GenusContext) -> VarietySystem:
@@ -92,10 +93,9 @@ class UniformizeReport(NamedTuple):
 
 
 def uniformize_check(ctx: GenusContext, table: RelationTable) -> UniformizeReport:
-    """Substitute the derived table into every defining equation, building
+    """Sum every defining equation with the derived table substituted,
     each residual only when its turn comes, so one is held at a time."""
-    env = table.substitution_env()
-    entries = tuple(EquationStatus(rid, eq.substitute(env)) for rid, eq in _equations(ctx))
+    entries = tuple(EquationStatus(*eq) for eq in _equations(ctx, table.substitution_env()))
     return UniformizeReport(ctx.g, entries)
 
 

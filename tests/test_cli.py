@@ -450,13 +450,21 @@ def test_independence_fails_on_a_kernel_above_the_forced_one(capsys):
     assert "forced kernel: 0; none from 4 lattices\n" in out
 
 
-def test_independence_control_too_small_is_a_usage_error(capsys):
-    # 30 rows cover the main run's 15 columns, but the single-lattice
-    # control has 5 rows for its 7 columns; nothing may be printed first
-    code, out, err = run(capsys, "independence", "--samples", "5")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == "error: 5 rows < columns: more than 5 monomials of weight <= 6\n"
+def test_independence_control_too_small_is_a_usage_error(capsys, monkeypatch):
+    # the main run's rows cover its columns, but the single-lattice control
+    # has fewer rows than its 7 columns: refused before any lattice is drawn
+    def no_sampling(*args):
+        raise AssertionError("sampled although the control cannot run")
+
+    monkeypatch.setattr("hypfield.numerics1.random_lattice", no_sampling)
+    for argv in (["--samples", "5"], ["--lattices", "1000", "--samples", "6"]):
+        code, out, err = run(capsys, "independence", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: the single-lattice control needs 7 samples, one per monomial in "
+            f"wp, wp' of weight <= 6; got {argv[-1]}\n"
+        )
 
 
 def test_independence_too_many_columns_exits_fast():

@@ -6,7 +6,9 @@ The digests below are SHA-256 hashes of the stdout of
 before the exact ``Poly.__pow__`` and the one-pass ``Poly.substitute``
 replaced the previous loops, and of ``table --genus 32``, captured while
 every order key spanned one field per symbol registered in the process (656
-at g = 32).  Any change to the polynomial core must keep every byte of
+at g = 32), and of ``verify --genus`` 16 and 32, captured while every
+residual was built as a polynomial in the ``la`` and ``w`` symbols and then
+substituted.  Any change to the polynomial core must keep every byte of
 these outputs.
 
 ``SYMBOLIC_DISC_G3`` is the SHA-256 of ``str(symbolic_discriminant(
@@ -57,6 +59,8 @@ GOLDEN = {
     ("table", 8): "b7dbd3ae637ee5c76d5a33799f9f372eb4a17b68a070d2d7e97e067e9597c2e1",
     ("verify", 8): "6ca3f3d1c703759dcebbc8d2d069b2c0a897acc7ebcec51277ac3215fbc10301",
     ("table", 32): "24ec0ef9e90acd7ffc71ba2fdc0fef8eb40f00dc1c5c868017366bb6ea374809",
+    ("verify", 16): "7437d6f7ac6d88ca816a1a5bc7417f367c0e26e86da80ec3448aea398b5de2e4",
+    ("verify", 32): "632e621a9d689d6d9b47b026a71d5b9465d0242af3f7f7e8985a4a97d34f5b4f",
 }
 
 SYMBOLIC_DISC_G3 = "7b24fb2f6b1387e9695bd04dbba589b2884f2a18bab5ca507864dabfba55b213"

@@ -12,7 +12,11 @@ file; neither shares anything with the q-series that ``weierstrass`` sums.
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -555,3 +559,39 @@ def test_experiment_argument_validation():
         independence_experiment(0, 10, 6, seed=0)
     with pytest.raises(ValueError):
         independence_experiment(2, 10, 1, seed=0)
+
+
+# numerics1 runs in the child on first use, so numpy is loaded there
+THREAD_PROBE = """
+import os, sys
+import hypfield
+hypfield.numerics1.forced_kernel
+assert "numpy" in sys.modules
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+def run_thread_probe(**setting):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(setting, PYTHONPATH=str(Path(numerics1.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_numpy_loads_with_one_openblas_thread():
+    setting, threads = run_thread_probe()
+    assert setting == "None"  # the setting is gone from os.environ again
+    if threads == "None":
+        pytest.skip("no /proc/self/status to count threads in")
+    assert threads == "1"
+
+
+def test_openblas_thread_setting_of_the_caller_is_kept():
+    assert run_thread_probe(OPENBLAS_NUM_THREADS="2")[0] == "2"

@@ -415,6 +415,56 @@ def test_sum_of_products_rejects_what_it_cannot_pack():
         Poly.sum_of_products([(Fraction(1, 2), x)])
 
 
+PRODUCTS = st.lists(
+    st.tuples(st.integers(-5, 5), st.lists(st.sampled_from(SYMS), max_size=4)), max_size=6
+)
+IMAGES = st.dictionaries(st.sampled_from(SYMS), st.one_of(polys(), st.just(Poly.zero())))
+
+
+@given(PRODUCTS, IMAGES)
+@settings(max_examples=80, deadline=None)
+def test_sum_of_products_substitutes_while_summing(products, env):
+    products = [(c, *syms) for c, syms in products]
+    got = Poly.sum_of_products(products, env)
+    want = Poly.sum_of_products(products).substitute(env)
+    assert got == want and str(got) == str(want)
+
+
+def test_sum_of_products_env_cases():
+    x, y, z = b1(1), b2(3), w(3, 5)
+    half = Poly({((x, 1),): Fraction(1, 2), ((b3(1), 2),): Fraction(1, 3)})
+    env = {y: half, z: Poly.zero(), la(4): Poly.const(Fraction(-3, 4))}
+    products = [
+        (2, y, y),  # two mapped factors
+        (3, x, y, la(4)),  # two mapped factors, shifted by an unmapped one
+        (5, z, x),  # a zero image
+        (-1, x, b3(1)),  # no mapped factor
+        (4, y),  # an image of its own, not shifted
+        (1,),
+    ]
+    want = Poly.sum_of_products(products).substitute(env)
+    got = Poly.sum_of_products(products, env)
+    assert got == want and str(got) == str(want)
+    # an unshifted image keeps its own monomial ints
+    alone = Poly.sum_of_products([(7, y)], env)
+    assert all(any(m is n for n in half.terms) for m in alone.terms)
+
+
+def test_sum_of_products_env_overflow_like_substitute():
+    x, y = b1(1), b2(3)
+    for e, fails in ((MAX_EXPONENT - 1, False), (MAX_EXPONENT, True)):
+        env = {y: Poly.symbol(x) ** e}
+        if fails:
+            with pytest.raises(ExponentOverflow):
+                Poly.sum_of_products([(1, x, y)]).substitute(env)
+            with pytest.raises(ExponentOverflow):  # the shifted image
+                Poly.sum_of_products([(1, x, y)], env)
+        else:
+            got = Poly.sum_of_products([(1, x, y)], env)
+            assert got == Poly.sum_of_products([(1, x, y)]).substitute(env)
+            assert got == Poly.symbol(x) ** MAX_EXPONENT
+
+
 @given(ref_polys(), st.dictionaries(st.sampled_from(WIDE_SYMS), ref_polys(max_terms=3)))
 @settings(max_examples=40, deadline=None)
 def test_substitute_matches_oracle(a, env):

@@ -14,6 +14,7 @@ from hypfield.relations import (
     bel1,
     bel2,
     generator_series,
+    l1_products,
     l1_residual,
     l1_rhs,
     parameter_series,
@@ -250,3 +251,13 @@ def test_l1_residual_vanishes_on_derived_parameters():
     res = l1_residual(ctx)
     for p in range(-1, 2 * ctx.g + 1):
         assert res[p].substitute(env).is_zero()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_l1_products_match_the_series_reference(g):
+    # l1_residual's XiSeries product is the reference for every coefficient
+    ctx = GenusContext(g)
+    reference = l1_residual(ctx)
+    for n in range(-1, 2 * g + 1):
+        got = Poly.sum_of_products(l1_products(ctx, n))
+        assert got == reference[n] and str(got) == str(reference[n]), n

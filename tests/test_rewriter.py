@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from hypfield import rewriter
 from hypfield.polyring import Poly, b1, b2, b3, homogeneous_weight, la, w
 from hypfield.relations import GenusContext
 from hypfield.rewriter import (
@@ -113,6 +114,16 @@ def test_extraction_requires_linear_occurrence():
     env = table(3).substitution_env()
     with pytest.raises(UnresolvedSymbol):
         extract_from_bel2(ctx, env, 1, 1, (5, 5))
+
+
+def test_solve_refuses_a_target_that_occurs_nonlinearly():
+    target = w(5, 5)
+    products = [(1, target), (2, target, b1(1)), (-1, b2(1))]
+    with pytest.raises(UnresolvedSymbol, match="w_5_5 occurs nonlinearly in R"):
+        rewriter._solve(products, target, {}, "R")
+    # products that cancel leave the target linear, as in the summed residual
+    products += [(-2, b1(1), target)]
+    assert rewriter._solve(products, target, {}, "R") == Poly.symbol(b2(1))
 
 
 # --- fraction normalization -------------------------------------------------

@@ -138,6 +138,30 @@ def test_verify_holds_one_residual_at_a_time():
     assert verify - build_only < 4.0, (build_only, verify)
 
 
+REGISTRY_PROBE = """
+from hypfield import polyring
+from hypfield.relations import GenusContext
+from hypfield.rewriter import build_table
+from hypfield.variety import uniformize_check
+
+ctx = GenusContext(16)
+assert uniformize_check(ctx, build_table(ctx)).passed
+print(" ".join(s.name for s in polyring._SYMS))
+"""
+
+
+def test_table_and_check_give_only_the_generators_a_field():
+    # every la_s and w_k_l is substituted while the residuals are summed, so
+    # a process that derives and checks the table packs only the 3g generators
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", REGISTRY_PROBE], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.split()
+    assert sorted(names) == sorted(s.name for s in generator_symbols(16))
+
+
 # --- parameter projection ---------------------------------------------------
 
 def test_p_eval_known_points():
