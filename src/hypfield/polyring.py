@@ -26,14 +26,15 @@ the layout depends on the order of first use within a process.  Nothing
 outside this module sees it: callers go through ``Poly(terms)``,
 ``Poly.symbol``, ``Poly.sum_of_products``, ``sorted_terms``, ``symbols``,
 ``at_point`` and ``strip_common_monomial``, which speak in symbols and
-``(Symbol, exponent)`` tuples, and pickling stores that symbolic form.  A
-symbol that ``Poly.sum_of_products`` finds in its ``env`` is replaced by its
-image while the products are summed and takes no field, so deriving and
-checking the relation table gives fields to the 3g generators alone.  Each
-exponent is at most ``MAX_EXPONENT`` (32,767); a sum
-of two exponents below the cap never carries out of its field, and a
-product or power that sets a guard bit raises ``ExponentOverflow`` instead
-of wrapping.
+``(Symbol, exponent)`` tuples, and pickling stores that symbolic form.  The
+engine substitutes only while it sums: a symbol that ``Poly.sum_of_products``
+finds in its ``env`` is replaced by its image while the products are summed
+and takes no field, so deriving and checking the relation table gives fields
+to the 3g generators alone.  ``Poly.substitute`` is the plain term-by-term
+reference that route is tested against.  Each exponent is at most
+``MAX_EXPONENT`` (32,767); a sum of two exponents below the cap never
+carries out of its field, and a product or power that sets a guard bit
+raises ``ExponentOverflow`` instead of wrapping.
 
 ``Poly.terms`` maps each packed monomial to an int numerator over the one
 positive denominator ``Poly.den``, and the pair is kept in lowest terms, so
@@ -499,49 +500,21 @@ class Poly:
     # structural operations ------------------------------------------------
 
     def substitute(self, env: dict) -> "Poly":
-        """Replace every mapped symbol by its polynomial image.
+        """Replace every mapped symbol by its polynomial image, term by term.
 
         Substitution is a ring homomorphism; unmapped symbols pass through.
-        Each distinct ``(symbol, exponent)`` image is powered once (see
-        ``__pow__``); a term with k mapped factors then takes k - 1 products,
-        plus one by the monomial of its unmapped factors, if any.  The terms'
-        numerators are added into one running dict per denominator, so a
-        term with no mapped factor takes no product at all.
+        This is the reference ``sum_of_products(products, env)`` is tested
+        against: the engine substitutes only while it sums.
         """
         if not env:
             return self
-        cache = {}
-        groups = {}  # denominator -> {monomial: numerator}
-        for mono, c in self.terms.items():
-            term = None
-            rest = mono
-            for i, e in _factors(mono):
-                image = env.get(_SYMS[i])
-                if image is None:
-                    continue
-                rest -= e * _UNITS[i]
-                power = cache.get((i, e))
-                if power is None:
-                    power = cache[i, e] = image ** e
-                term = power if term is None else term * power
-            if term is None:
-                acc = groups.setdefault(1, {})
-                acc[mono] = acc.get(mono, 0) + c
-                continue
-            if rest:
-                term = term * _poly({rest: 1})
-            acc = groups.setdefault(term.den, {})
-            get = acc.get
-            for m, v in term.terms.items():
-                acc[m] = get(m, 0) + c * v
-        den = lcm(*groups)
-        out = {}
-        get = out.get
-        for d, acc in groups.items():
-            scale = den // d
-            for m, v in acc.items():
-                out[m] = get(m, 0) + v * scale
-        return _poly(out, den * self.den)
+        total = Poly.zero()
+        for mono, c in self.sorted_terms():
+            term = Poly.const(c)
+            for sym, e in mono:
+                term = term * env.get(sym, Poly.symbol(sym)) ** e
+            total = total + term
+        return total
 
     def __str__(self):
         if not self.terms:

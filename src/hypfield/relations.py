@@ -2,12 +2,13 @@
 
 Every relation is represented as a left-minus-right residual, so "reduces
 to zero" is the single verification predicate used everywhere downstream.
-The two-index cutoff (symbols with an index >= 2g+1 vanish) and the
-Kronecker-delta bookkeeping live here.  A BEL1 or BEL2 residual, and each
-xi-coefficient of the L1 series, is a list of ``(int coefficient, symbol,
-...)`` products; ``bel1`` and ``bel2`` sum theirs by one
-``Poly.sum_of_products`` call, with an optional substitution applied while
-summing.  The ``XiSeries`` product of ``l1_residual`` is the reference the
+The two-index cutoff and the Kronecker-delta bookkeeping live here:
+``two_index`` gives the relation products and the reducer's ``p[k,l]``
+atoms the symbol at (k, l), or None once an index reaches 2g+1.  A BEL1 or
+BEL2 residual, and each xi-coefficient of the L1 series, is a list of
+``(int coefficient, symbol, ...)`` products; ``bel1`` and ``bel2`` sum
+theirs by one ``Poly.sum_of_products`` call, with an optional substitution
+applied while summing.  The ``XiSeries`` product of ``l1_residual`` is the reference the
 L1 products are tested against; the derivation does not use it.
 
 ``polyring`` is reached through the module, so a process that only reads
@@ -61,7 +62,7 @@ def _check_odd_index(ctx: GenusContext, i: int):
         raise IndexOutOfRange(f"index {i} not odd in 1..{ctx.odd_indices[-1]}")
 
 
-def _two_index(ctx: GenusContext, k: int, l: int):
+def two_index(ctx: GenusContext, k: int, l: int):
     """The symbol of the two-index function at (k, l), or None where the
     cutoff makes it vanish: either index at 2g+1 or above.  The b1 generator
     when the smaller index is 1, the canonical w symbol otherwise."""
@@ -71,12 +72,6 @@ def _two_index(ctx: GenusContext, k: int, l: int):
         return None
     a, c = min(k, l), max(k, l)
     return polyring.b1(c) if a == 1 else polyring.w(a, c)
-
-
-def pp_symbol(ctx: GenusContext, k: int, l: int) -> polyring.Poly:
-    """Two-index function as a polynomial, 0 where the cutoff applies."""
-    sym = _two_index(ctx, k, l)
-    return polyring.Poly.zero() if sym is None else polyring.Poly.symbol(sym)
 
 
 def _cut(products: list) -> list:
@@ -89,7 +84,7 @@ def bel1_products(ctx: GenusContext, i: int) -> list:
     """The first relation family at odd index i as ``(c, symbol, ...)``
     products."""
     _check_odd_index(ctx, i)
-    pp = partial(_two_index, ctx)
+    pp = partial(two_index, ctx)
     products = [
         (1, polyring.b3(i)),
         (-6, polyring.b1(1), polyring.b1(i)),
@@ -106,7 +101,7 @@ def bel2_products(ctx: GenusContext, i: int, j: int) -> list:
     right-hand side, as ``(c, symbol, ...)`` products."""
     _check_odd_index(ctx, i)
     _check_odd_index(ctx, j)
-    pp = partial(_two_index, ctx)
+    pp = partial(two_index, ctx)
     b1i, b1j = polyring.b1(i), polyring.b1(j)
     products = [
         (1, polyring.b2(i), polyring.b2(j)),

@@ -10,7 +10,8 @@ with the entries already derived substituted, so no residual is built in
 the la and w symbols.  The result is a RelationTable mapping every la_s and
 every w_k_l to a homogeneous polynomial in the 3g generators, plus a
 reducer that rewrites arbitrary expressions into the fraction field of
-those generators.
+those generators, reading each atom straight from the table or as a
+generator (0 once an index reaches 2g+1) and substituting nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, NamedTuple, Union
 from . import _Record
 from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
 from .relations import (
-    GenusContext, RelationId, bel1_products, bel2_products, l1_products, pp_symbol,
+    GenusContext, RelationId, bel1_products, bel2_products, l1_products, two_index,
 )
 
 
@@ -215,17 +216,18 @@ def build_table(ctx: GenusContext) -> RelationTable:
 # ---------------------------------------------------------------------------
 # reduction of expressions into the fraction field of the generators
 
-def _resolve_psym(ctx: GenusContext, indices: tuple) -> Poly:
+def _resolve_psym(ctx: GenusContext, table: RelationTable, indices: tuple) -> Poly:
     idx = tuple(sorted(indices))
     n = len(idx)
     if n == 2:
-        return pp_symbol(ctx, idx[0], idx[1])
-    if n == 3 and idx[0] == idx[1] == 1:
-        if idx[2] in ctx.odd_indices:
-            return Poly.symbol(b2(idx[2]))
-    elif n == 4 and idx[0] == idx[1] == idx[2] == 1:
-        if idx[3] in ctx.odd_indices:
-            return Poly.symbol(b3(idx[3]))
+        sym = two_index(ctx, *idx)
+        if sym is None:
+            return Poly.zero()
+        return table.w[sym.indices] if sym.kind == "w" else Poly.symbol(sym)
+    if n in (3, 4) and idx[:-1] == (1,) * (n - 1):
+        if idx[-1] >= 2 * ctx.g + 1:
+            return Poly.zero()
+        return Poly.symbol((b2 if n == 3 else b3)(idx[-1]))
     raise UnsupportedSymbol(
         f"p[{','.join(str(i) for i in indices)}] is outside the supported closure "
         "(only two-index symbols and the 1-, 1,1-, 1,1,1-prefixed generators)"
@@ -250,7 +252,6 @@ def normalize_fraction(num: Poly, den: Poly):
 def reduce_expr(ctx: GenusContext, table: RelationTable, e: Expr):
     """Rewrite an expression to a normalized (numerator, denominator) pair
     of pure-generator polynomials."""
-    env = table.substitution_env()
 
     def go(node) -> tuple:
         if isinstance(node, Const):
@@ -260,8 +261,7 @@ def reduce_expr(ctx: GenusContext, table: RelationTable, e: Expr):
                 raise UnsupportedSymbol(f"la{node.s} outside 4..{ctx.lambda_indices[-1]}")
             return table.lam[node.s], Poly.one()
         if isinstance(node, PSym):
-            p = _resolve_psym(ctx, node.indices).substitute(env)
-            return p, Poly.one()
+            return _resolve_psym(ctx, table, node.indices), Poly.one()
         if isinstance(node, Neg):
             n, d = go(node.arg)
             return -n, d

@@ -99,6 +99,20 @@ def test_reduce_unsupported_symbol(capsys):
     assert "closure" in err
 
 
+@pytest.mark.parametrize("genus", [1, 2])
+def test_reduce_generator_atoms_past_the_cutoff_are_zero(capsys, genus):
+    # as p[1,k] and p[k,l] do, p[1,1,k] and p[1,1,1,k] vanish once k >= 2g+1
+    k = 2 * genus + 1
+    atoms = [f"p[1,1,{k}]", f"p[1,1,1,{k}]", f"p[1,{k},1]", f"p[1,1,{k + 2},1]", f"p[1,{k}]"]
+    for atom in atoms:
+        assert run(capsys, "reduce", "--genus", str(genus), atom) == (EXIT_OK, "0\n", "")
+    code, out, _ = run(capsys, "reduce", "--genus", str(genus), f"p[1,1,{k - 2}] + p[1,1,1,{k}]")
+    assert (code, out) == (EXIT_OK, f"b2_{k - 2}\n")
+    code, _, err = run(capsys, "reduce", "--genus", str(genus), f"p[1,3,{k}]")
+    assert code == EXIT_USAGE
+    assert "closure" in err
+
+
 def test_reduce_division_by_zero(capsys):
     code, _, err = run(capsys, "reduce", "--genus", "1", "1/(p[1,1] - p[1,1])")
     assert code == EXIT_NUMERIC

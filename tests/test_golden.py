@@ -3,13 +3,14 @@ the genus-3 symbolic discriminant.
 
 The digests below are SHA-256 hashes of the stdout of
 ``python -m hypfield.cli {table,verify} --genus g`` for g = 1..8, captured
-before the exact ``Poly.__pow__`` and the one-pass ``Poly.substitute``
-replaced the previous loops, and of ``table --genus 32``, captured while
-every order key spanned one field per symbol registered in the process (656
-at g = 32), and of ``verify --genus`` 16 and 32, captured while every
-residual was built as a polynomial in the ``la`` and ``w`` symbols and then
-substituted.  Any change to the polynomial core must keep every byte of
-these outputs.
+before the exact ``Poly.__pow__`` and a one-pass ``Poly.substitute``
+replaced the previous loops (``substitute`` is now the term-by-term
+reference again, and the engine substitutes only while it sums), and of
+``table --genus 32``, captured while every order key spanned one field per
+symbol registered in the process (656 at g = 32), and of ``verify --genus``
+16 and 32, captured while every residual was built as a polynomial in the
+``la`` and ``w`` symbols and then substituted.  Any change to the
+polynomial core must keep every byte of these outputs.
 
 ``SYMBOLIC_DISC_G3`` is the SHA-256 of ``str(symbolic_discriminant(
 GenusContext(3))) + "\n"``, captured while the discriminant was still the
@@ -27,19 +28,26 @@ symbolic Jacobian's 384 derivative polynomials: unlike the counts of
 
 ``REDUCE`` holds the SHA-256 of the stdout of ``python -m hypfield.cli
 reduce --genus g`` fed a fixed batch on stdin, captured while the print
-order was a sorted list of ``(rank, -exponent, field)`` tuples per term.
+order was a sorted list of ``(rank, -exponent, field)`` tuples per term and
+the reducer still substituted the table into every atom.
 The batches cover 4th powers, quotients by ``(atom + c)``, rational and
 negative leading coefficients, ``la`` atoms and denominators made monic.
 """
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypfield
 from hypfield.cli import EXIT_OK, main
 from hypfield.curve import symbolic_discriminant
 from hypfield.relations import GenusContext
+from hypfield.variety import generator_symbols
 
 GOLDEN = {
     ("table", 1): "0637df51c9ef2ef945c9daa5679538387a1b420f17cc701534d5cf2acd28a2d4",
@@ -145,3 +153,47 @@ def test_reduce_digest(capsys, monkeypatch, genus):
     assert code == EXIT_OK
     assert len(out.splitlines()) == batch.count("\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("genus", sorted(REDUCE))
+def test_reduce_digest_without_substitute(capsys, monkeypatch, genus):
+    # reduce reads every atom from the table: Poly.substitute is the tests'
+    # reference and never on the reduce route
+    def refuse(self, env):
+        raise AssertionError("reduce called Poly.substitute")
+
+    monkeypatch.setattr("hypfield.polyring.Poly.substitute", refuse)
+    batch, digest = REDUCE[genus]
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    code = main(["reduce", "--genus", str(genus)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+REDUCE_REGISTRY_PROBE = """
+import contextlib, hashlib, io, sys
+from hypfield import polyring
+from hypfield.cli import main
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["reduce", "--genus", "3"]) == 0
+print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(" ".join(s.name for s in polyring._SYMS))
+"""
+
+
+def test_reduce_gives_only_the_generators_a_field():
+    # a w atom is read from the table, never packed as a symbol of its own,
+    # so a reduce process registers the 3g generators alone
+    batch, digest = REDUCE[3]
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", REDUCE_REGISTRY_PROBE],
+        input=batch, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_digest, names = proc.stdout.split("\n", 1)
+    assert got_digest == digest
+    assert sorted(names.split()) == sorted(s.name for s in generator_symbols(3))

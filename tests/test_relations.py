@@ -18,7 +18,7 @@ from hypfield.relations import (
     l1_residual,
     l1_rhs,
     parameter_series,
-    pp_symbol,
+    two_index,
 )
 
 
@@ -55,28 +55,28 @@ def test_relation_id_text():
 
 # --- two-index naming -------------------------------------------------------
 
-def test_pp_symbol_naming_and_cutoff():
+def test_two_index_naming_and_cutoff():
     ctx = GenusContext(2)
-    assert pp_symbol(ctx, 1, 3) == Poly.symbol(b1(3))
-    assert pp_symbol(ctx, 3, 1) == Poly.symbol(b1(3))
-    assert pp_symbol(ctx, 3, 3) == Poly.symbol(w(3, 3))
-    assert pp_symbol(ctx, 5, 3).is_zero()  # index at 2g+1 cuts to zero
-    assert pp_symbol(ctx, 1, 7).is_zero()
-    assert pp_symbol(ctx, 1, 1) == Poly.symbol(b1(1))
+    assert two_index(ctx, 1, 3) == b1(3)
+    assert two_index(ctx, 3, 1) == b1(3)
+    assert two_index(ctx, 3, 3) == w(3, 3)
+    assert two_index(ctx, 5, 3) is None  # index at 2g+1 cuts to zero
+    assert two_index(ctx, 1, 7) is None
+    assert two_index(ctx, 1, 1) == b1(1)
 
 
-def test_pp_symbol_symmetric():
+def test_two_index_symmetric():
     ctx = GenusContext(4)
     for k in (1, 3, 5, 7):
         for l in (1, 3, 5, 7):
-            assert pp_symbol(ctx, k, l) == pp_symbol(ctx, l, k)
+            assert two_index(ctx, k, l) == two_index(ctx, l, k)
 
 
-def test_pp_symbol_rejects_even_or_nonpositive():
+def test_two_index_rejects_even_or_nonpositive():
     ctx = GenusContext(2)
     for bad in ((2, 3), (1, 0), (-1, 3)):
         with pytest.raises(IndexOutOfRange):
-            pp_symbol(ctx, *bad)
+            two_index(ctx, *bad)
 
 
 # --- first family -----------------------------------------------------------
