@@ -280,7 +280,7 @@ def cmd_rank(args) -> int:
 
 def cmd_disc(args) -> int:
     d = curve.discriminant(curve.LambdaVector.from_sequence(args.genus, args.lambda_values))
-    membership = "IN" if d == 0 else "NOT IN"  # in_sigma's test, on d already computed
+    membership = "IN" if d == 0 else "NOT IN"  # a multiple root iff d vanishes
     print(f"disc = {d}; lambda {membership} Sigma_g")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
-"""Curve-side computations: the defining polynomial, its discriminant, and
-membership in the discriminant hypersurface.
+"""Curve-side computations: the defining polynomial and its discriminant,
+at a rational parameter point or as a polynomial in the parameters.
 
 The discriminant of the monic curve polynomial f of degree n = 2g+1 is, up
 to sign, the determinant of the n x n matrix of multiplication by f' on
@@ -80,11 +80,6 @@ def discriminant(lv: LambdaVector) -> Fraction:
     """The discriminant of the monic curve polynomial at a parameter point."""
     coeffs = curve_poly(lv)
     return _disc_sign(coeffs) * det_exact(_derivative_rows(coeffs))
-
-
-def in_sigma(lv: LambdaVector) -> bool:
-    """True iff the curve polynomial has a multiple root."""
-    return discriminant(lv) == 0
 
 
 def symbolic_discriminant(ctx: GenusContext) -> polyring.Poly:

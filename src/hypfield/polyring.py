@@ -260,11 +260,12 @@ def _poly(terms: dict, den: int = 1) -> "Poly":
     return p
 
 
-def _check_overflow(a: dict, b: dict, out: dict) -> None:
+def _check_overflow(a, b, out) -> None:
     # OR-ing a polynomial's monomials bounds each field from above by less
     # than twice its largest exponent; only when two such bounds could carry
-    # are the product's own monomials tested.
-    if (reduce(or_, a) + reduce(or_, b)) & _guard and reduce(or_, out) & _guard:
+    # are the product's own monomials tested.  Each argument is an iterable
+    # of packed monomials (a dict of terms iterates its monomials).
+    if (reduce(or_, a, 0) + reduce(or_, b, 0)) & _guard and reduce(or_, out, 0) & _guard:
         raise ExponentOverflow(f"a product raises an exponent above {MAX_EXPONENT}")
 
 
@@ -343,12 +344,7 @@ class Poly:
             items = term.terms.items()
             if m:
                 items = [(mono + m, v) for mono, v in items]
-                # as in _check_overflow: the OR of the image's monomials
-                # bounds its fields; only a bound that reaches a guard bit
-                # sends the shifted monomials to be tested
-                shifted = (mono for mono, _ in items)
-                if (m + reduce(or_, term.terms, 0)) & _guard and reduce(or_, shifted, 0) & _guard:
-                    raise ExponentOverflow(f"a product raises an exponent above {MAX_EXPONENT}")
+                _check_overflow((m,), term.terms, (mono for mono, _ in items))
             acc = groups.setdefault(term.den, {})
             get = acc.get
             for mono, v in items:

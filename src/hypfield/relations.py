@@ -8,8 +8,9 @@ atoms the symbol at (k, l), or None once an index reaches 2g+1.  A BEL1 or
 BEL2 residual, and each xi-coefficient of the L1 series, is a list of
 ``(int coefficient, symbol, ...)`` products; ``bel1`` and ``bel2`` sum
 theirs by one ``Poly.sum_of_products`` call, with an optional substitution
-applied while summing.  The ``XiSeries`` product of ``l1_residual`` is the reference the
-L1 products are tested against; the derivation does not use it.
+applied while summing.  ``l1_rhs`` is the bracketed L1 expression as a
+product of ``XiSeries``: the tests build the reference for ``l1_products``
+from it, and the derivation does not use it.
 
 ``polyring`` is reached through the module, so a process that only reads
 ``GenusContext`` (``disc`` does) runs no polynomial code.
@@ -140,8 +141,9 @@ def bel2(ctx: GenusContext, i: int, j: int, env=None) -> polyring.Poly:
 
 
 def l1_products(ctx: GenusContext, n: int) -> list:
-    """The xi^n coefficient of ``l1_residual``, n in -1..2g, as ``(c,
-    symbol, ...)`` products over the index pairs of each series product.
+    """The xi^n coefficient of 4 m(xi) minus ``l1_rhs``, n in -1..2g, with
+    m(xi) = xi^-1 + sum la_{2i+2} xi^i, as ``(c, symbol, ...)`` products
+    over the index pairs of each series product.
 
     With B_k[i] the level-k generator at power i (b_k with index 2i - 1,
     zero outside 1..g) and Q the series (1 - b1)^2, the coefficient is
@@ -177,14 +179,6 @@ def generator_series(ctx: GenusContext, level: int) -> polyring.XiSeries:
     )
 
 
-def parameter_series(ctx: GenusContext) -> polyring.XiSeries:
-    """xi^-1 plus the curve parameters at powers 1..2g."""
-    terms = {-1: polyring.Poly.one()}
-    for i in range(1, 2 * ctx.g + 1):
-        terms[i] = polyring.Poly.symbol(polyring.la(2 * i + 2))
-    return polyring.XiSeries.from_terms(ctx.g, terms)
-
-
 def l1_rhs(ctx: GenusContext) -> polyring.XiSeries:
     """The bracketed generating-series expression whose xi-coefficients carry
     the curve parameters: b2^2 + 2 b3 (1 - b1) + 4 (xi^-1 + 2 b1_1)(1 - b1)^2."""
@@ -197,9 +191,3 @@ def l1_rhs(ctx: GenusContext) -> polyring.XiSeries:
     b1_1 = polyring.Poly.symbol(polyring.b1(1))
     pole_part = xim1 + polyring.XiSeries.from_terms(ctx.g, {0: 2 * b1_1})
     return bs2 * bs2 + 2 * (bs3 * one_minus_b1) + 4 * (pole_part * (one_minus_b1 * one_minus_b1))
-
-
-def l1_residual(ctx: GenusContext) -> polyring.XiSeries:
-    """4 m(xi) minus the bracketed expression; vanishes coefficientwise when
-    the parameter symbols take their derived values."""
-    return 4 * parameter_series(ctx) - l1_rhs(ctx)

@@ -20,26 +20,13 @@ from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
 
 
-def equation_count(g: int) -> int:
-    return g * (g + 3) // 2
-
-
-def ambient_dimension(g: int) -> int:
-    return g * (g + 9) // 2
-
-
 def generator_symbols(g: int) -> list:
     """The 3g generator symbols in their canonical coordinate order."""
     odd = GenusContext(g).odd_indices
     return [b1(k) for k in odd] + [b2(k) for k in odd] + [b3(k) for k in odd]
 
 
-class VarietySystem(NamedTuple):
-    genus: int
-    equations: tuple  # of (RelationId, Poly)
-
-
-def _equations(ctx: GenusContext, env=None):
+def _equations(ctx: GenusContext, env):
     """The defining equations as (RelationId, residual), BEL1 then BEL2,
     with the symbols ``env`` maps replaced by their images."""
     for i in ctx.odd_indices:
@@ -48,12 +35,6 @@ def _equations(ctx: GenusContext, env=None):
         for j in ctx.odd_indices:
             if i <= j:
                 yield RelationId("BEL2", (i, j)), bel2(ctx, i, j, env)
-
-
-def variety_system(ctx: GenusContext) -> VarietySystem:
-    eqs = tuple(_equations(ctx))
-    assert len(eqs) == equation_count(ctx.g)
-    return VarietySystem(ctx.g, eqs)
 
 
 class EquationStatus(NamedTuple):

@@ -92,11 +92,6 @@ def _q_series(v1: complex, v2: complex):
     return tuple(powers[:_TERMS]), e2, g2, g3
 
 
-def eisenstein(omega1: complex, omega2: complex):
-    """Invariants (g2, g3) of the lattice spanned by the two periods."""
-    return _q_series(*gauss_reduce(omega1, omega2))[2:]
-
-
 class LatticeContext(_Record):
     """Immutable genus-1 numeric context for one period lattice: the periods
     omega1, omega2, a Gauss-reduced basis reduced1, reduced2, the invariants
@@ -179,18 +174,6 @@ def _wp_all(ctx: LatticeContext, z: complex):
     return c2 * s0, c2 * c * s1, c2 * c2 * s2
 
 
-def wp(ctx: LatticeContext, z: complex) -> complex:
-    return _wp_all(ctx, z)[0]
-
-
-def wp_prime(ctx: LatticeContext, z: complex) -> complex:
-    return _wp_all(ctx, z)[1]
-
-
-def wp_second(ctx: LatticeContext, z: complex) -> complex:
-    return _wp_all(ctx, z)[2]
-
-
 class ResidualReport(NamedTuple):
     """Scaled residuals of the two relation families and the two derived
     parameter formulas, evaluated on (wp, wp', wp'')."""
@@ -199,7 +182,6 @@ class ResidualReport(NamedTuple):
     cubic: float        # wp'^2 - 4 wp^3 - 4 lambda4 wp - 4 lambda6
     lambda4_formula: float
     lambda6_formula: float
-    raw: tuple
 
     @property
     def max_scaled(self) -> float:
@@ -229,7 +211,6 @@ def identity_residuals(ctx: LatticeContext, z: complex) -> ResidualReport:
         cubic=abs(r2) / s2,
         lambda4_formula=abs(r3) / s3,
         lambda6_formula=abs(r4) / s4,
-        raw=(r1, r2, r3, r4),
     )
 
 

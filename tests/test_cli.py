@@ -730,7 +730,7 @@ def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
         calls.append(lv)
         return real(lv)
 
-    # the command and curve.in_sigma both call it through curve's namespace
+    # the command calls it through curve's namespace, so the patch sees it
     monkeypatch.setattr("hypfield.curve.discriminant", counting)
     code, out, _ = run(capsys, "disc", "--genus", "1", "--lambda=-3,2")
     assert code == EXIT_OK

@@ -5,13 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypfield.exprlang import (
-    ExpressionIndexError,
-    ExpressionSyntaxError,
-    format_expr,
-    parse,
-    tokenize,
-)
+from exprprint import format_expr
+from hypfield.exprlang import ExpressionIndexError, ExpressionSyntaxError, parse, tokenize
 from hypfield.relations import GenusContext
 from hypfield.rewriter import BinOp, Const, Lam, Neg, Pow, PSym
 

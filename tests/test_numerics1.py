@@ -38,14 +38,10 @@ from hypfield.weierstrass import (
     LatticeContext,
     NearPole,
     _wp_all,
-    eisenstein,
     gauss_reduce,
     identity_residuals,
     random_lattice,
     random_sample_point,
-    wp,
-    wp_prime,
-    wp_second,
 )
 
 
@@ -98,27 +94,27 @@ def test_gauss_reduce_degenerate():
 
 def test_eisenstein_basis_invariance():
     v1, v2 = 1.0, complex(0.3, 1.1)
-    g2, g3 = eisenstein(v1, v2)
+    ctx = LatticeContext(v1, v2)
     for w1, w2 in unimodular_pairs(v1, v2):
-        h2, h3 = eisenstein(w1, w2)
-        assert abs(h2 - g2) < 1e-10 * abs(g2)
-        assert abs(h3 - g3) < 1e-10 * abs(g3)
+        other = LatticeContext(w1, w2)
+        assert abs(other.g2 - ctx.g2) < 1e-10 * abs(ctx.g2)
+        assert abs(other.g3 - ctx.g3) < 1e-10 * abs(ctx.g3)
 
 
 def test_eisenstein_scaling_law():
     v1, v2 = 1.0, complex(0.2, 1.3)
-    g2, g3 = eisenstein(v1, v2)
+    ctx = LatticeContext(v1, v2)
     t = 1.7
-    h2, h3 = eisenstein(t * v1, t * v2)
-    assert abs(h2 - g2 / t ** 4) < 1e-10 * abs(g2)
-    assert abs(h3 - g3 / t ** 6) < 1e-10 * abs(g3)
+    scaled = LatticeContext(t * v1, t * v2)
+    assert abs(scaled.g2 - ctx.g2 / t ** 4) < 1e-10 * abs(ctx.g2)
+    assert abs(scaled.g3 - ctx.g3 / t ** 6) < 1e-10 * abs(ctx.g3)
 
 
 def test_eisenstein_symmetry_zeros():
-    g2_sq, g3_sq = eisenstein(1.0, 1j)
-    assert abs(g3_sq) < 1e-12 * abs(g2_sq)  # square lattice: g3 = 0
-    g2_hex, g3_hex = eisenstein(1.0, cmath.exp(1j * math.pi / 3))
-    assert abs(g2_hex) < 1e-12 * abs(g3_hex)  # hexagonal lattice: g2 = 0
+    square = LatticeContext(1.0, 1j)
+    assert abs(square.g3) < 1e-12 * abs(square.g2)  # square lattice: g3 = 0
+    hexagonal = LatticeContext(1.0, cmath.exp(1j * math.pi / 3))
+    assert abs(hexagonal.g2) < 1e-12 * abs(hexagonal.g3)  # hexagonal lattice: g2 = 0
 
 
 def test_context_rejects_degenerate_invariants():
@@ -149,22 +145,23 @@ CTX = LatticeContext(1.0, complex(0.25, 1.15))
 
 def test_wp_even_and_wp_prime_odd():
     z = complex(0.31, 0.27)
-    assert abs(wp(CTX, z) - wp(CTX, -z)) < 1e-12 * abs(wp(CTX, z))
-    assert abs(wp_prime(CTX, z) + wp_prime(CTX, -z)) < 1e-12 * abs(wp_prime(CTX, z))
-    assert abs(wp_second(CTX, z) - wp_second(CTX, -z)) < 1e-12 * abs(wp_second(CTX, z))
+    (p, p1, p2), (m, m1, m2) = _wp_all(CTX, z), _wp_all(CTX, -z)
+    assert abs(p - m) < 1e-12 * abs(p)
+    assert abs(p1 + m1) < 1e-12 * abs(p1)
+    assert abs(p2 - m2) < 1e-12 * abs(p2)
 
 
 def test_wp_periodicity():
     z = complex(0.4, 0.2)
-    base = wp(CTX, z)
+    base = _wp_all(CTX, z)[0]
     for shift in (CTX.omega1, CTX.omega2, 3 * CTX.omega1 - 2 * CTX.omega2):
-        assert abs(wp(CTX, z + shift) - base) < 1e-10 * abs(base)
+        assert abs(_wp_all(CTX, z + shift)[0] - base) < 1e-10 * abs(base)
 
 
 def test_wp_laurent_leading_behavior():
     # z^2 wp(z) -> 1 as z -> 0 (but stay above the pole floor)
     z = 0.08 + 0.06j
-    val = z ** 2 * wp(CTX, z)
+    val = z ** 2 * _wp_all(CTX, z)[0]
     assert abs(val - 1.0) < 0.05
 
 
@@ -197,7 +194,7 @@ def test_values_match_theta_function_oracle():
             assert abs(ctx.g3 - g3) < 1e-11 * abs(g3)
             for _ in range(3):
                 z = random_sample_point(ctx, rng)
-                got = (wp(ctx, z), wp_prime(ctx, z), wp_second(ctx, z))
+                got = _wp_all(ctx, z)
                 for n, value in enumerate(got):
                     want = complex(mpmath.diff(wp_theta, mpmath.mpc(z), n))
                     assert abs(value - want) < 1e-11 * abs(want), (n, z)
@@ -347,9 +344,9 @@ def test_scale_sweep_keeps_the_accepted_range():
 
 def test_near_pole_raises():
     with pytest.raises(NearPole):
-        wp(CTX, 1e-4 + 1e-4j)
+        _wp_all(CTX, 1e-4 + 1e-4j)
     with pytest.raises(NearPole):
-        wp(CTX, CTX.omega1 + 1e-4)  # poles sit on the whole lattice
+        _wp_all(CTX, CTX.omega1 + 1e-4)  # poles sit on the whole lattice
 
 
 def test_identity_residuals_machine_precision():

@@ -1,6 +1,7 @@
 """The package's engine modules run on first use: each test starts a fresh
 process, in which importing the package has run none of them yet."""
 
+import ast
 import os
 import pickle
 import subprocess
@@ -12,6 +13,7 @@ import hypfield
 from hypfield.polyring import Poly, b1
 from hypfield.relations import GenusContext
 from hypfield.weierstrass import LatticeContext
+from test_bench_hooks import load_tracing
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(hypfield.__file__).parents[1]))
 
@@ -111,3 +113,42 @@ def test_pickles_load_in_a_process_that_only_imported_the_package():
     got, texts = pickle.loads(fresh(UNPICKLE, pickle.dumps(objects)))
     assert got == objects
     assert texts == [str(obj) for obj in objects]
+
+
+def _referenced(node: ast.AST) -> set:
+    """Every name ``node`` reads: bare names, attribute names and the names
+    an import brings in."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_every_public_engine_name_has_a_caller():
+    """Each public module-level function and class of the package is read
+    somewhere in the package outside its own definition, exported by
+    ``hypfield``, or wrapped by the benchmark's span recorder: code that
+    only tests run does not live in the engine.  Methods are not covered,
+    and ``Poly.substitute`` and ``XiSeries`` stay for as long as the span
+    recorder wraps them."""
+    traced = {attr.split(".")[0] for _, attr, _, _ in load_tracing().TARGETS}
+    package = Path(hypfield.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    # every top-level statement of every module, each with the names it reads
+    statements = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    orphans = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in hypfield._EXPORTS or name in traced:
+                continue
+            if not any(stmt is not node and name in names for stmt, names in statements):
+                orphans.append(f"{filename}:{name}")
+    assert not orphans, "no caller in the package: " + ", ".join(orphans)

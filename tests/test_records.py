@@ -17,7 +17,7 @@ from hypfield.numerics1 import RankReport
 from hypfield.polyring import Poly
 from hypfield.relations import GenusContext, RelationId
 from hypfield.rewriter import BinOp, Const, Lam, Neg, Pow, PSym, RelationTable
-from hypfield.variety import EquationStatus, PMap, UniformizeReport, VarietySystem
+from hypfield.variety import EquationStatus, PMap, UniformizeReport
 from hypfield.weierstrass import LatticeContext, ResidualReport
 
 BEL1 = RelationId("BEL1", (1,))
@@ -33,7 +33,6 @@ RECORDS = {
         "genus",
         False,  # its fields are dicts
     ),
-    "VarietySystem": (lambda: VarietySystem(1, ((BEL1, Poly.one()),)), "equations", True),
     "EquationStatus": (lambda: EquationStatus(BEL1, Poly.zero()), "residual", True),
     "UniformizeReport": (
         lambda: UniformizeReport(1, (EquationStatus(BEL1, Poly.zero()),)), "entries", True
@@ -46,7 +45,7 @@ RECORDS = {
     ),
     "LatticeContext": (lambda: LatticeContext(1.0, 0.25 + 1.1j), "omega1", True),
     "ResidualReport": (
-        lambda: ResidualReport(1e-16, 2e-16, 0.0, 3e-16, (0j, 0j, 0j, 0j)), "cubic", True
+        lambda: ResidualReport(1e-16, 2e-16, 0.0, 3e-16), "cubic", True
     ),
     "RankReport": (
         lambda: RankReport(

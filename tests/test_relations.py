@@ -6,7 +6,7 @@ import pickle
 import pytest
 from fractions import Fraction
 
-from hypfield.polyring import Poly, Symbol, b1, b2, b3, homogeneous_weight, la, w
+from hypfield.polyring import Poly, Symbol, XiSeries, b1, b2, b3, homogeneous_weight, la, w
 from hypfield.relations import (
     GenusContext,
     IndexOutOfRange,
@@ -15,9 +15,7 @@ from hypfield.relations import (
     bel2,
     generator_series,
     l1_products,
-    l1_residual,
     l1_rhs,
-    parameter_series,
     two_index,
 )
 
@@ -224,6 +222,22 @@ def test_generator_series_slots():
     assert s[2] == Poly.symbol(b2(3))
     assert s[3] == Poly.symbol(b2(5))
     assert s[-1].is_zero() and s[0].is_zero()
+
+
+def parameter_series(ctx: GenusContext) -> XiSeries:
+    """xi^-1 plus the curve parameters at powers 1..2g."""
+    terms = {-1: Poly.one()}
+    for i in range(1, 2 * ctx.g + 1):
+        terms[i] = Poly.symbol(la(2 * i + 2))
+    return XiSeries.from_terms(ctx.g, terms)
+
+
+def l1_residual(ctx: GenusContext) -> XiSeries:
+    """4 m(xi) minus the bracketed expression; vanishes coefficientwise when
+    the parameter symbols take their derived values.  Its ``XiSeries``
+    product is the reference the L1 products of ``l1_products`` are tested
+    against."""
+    return 4 * parameter_series(ctx) - l1_rhs(ctx)
 
 
 def test_parameter_series_slots():

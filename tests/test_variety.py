@@ -18,15 +18,12 @@ from hypfield.polyring import Poly, at_point, b1, b2, b3
 from hypfield.relations import GenusContext
 from hypfield.rewriter import RelationTable, build_table
 from hypfield.variety import (
-    ambient_dimension,
-    equation_count,
     generator_symbols,
     p_eval,
     p_jacobian_rank,
     p_map,
     random_rational_point,
     uniformize_check,
-    variety_system,
 )
 
 
@@ -57,9 +54,15 @@ def termwise(p, env):
     return sum((c * prod(env[s] ** e for s, e in m) for m, c in p.sorted_terms()), Fraction(0))
 
 
+def equation_count(g):
+    """The paper's number of defining equations, g(g+3)/2."""
+    return g * (g + 3) // 2
+
+
 def test_counts():
-    assert [equation_count(g) for g in (1, 2, 3, 4)] == [2, 5, 9, 14]
-    assert [ambient_dimension(g) for g in (1, 2, 3, 4)] == [5, 11, 18, 26]
+    genera = (1, 2, 3, 4)
+    got = [len(uniformize_check(GenusContext(g), table(g)).entries) for g in genera]
+    assert got == [equation_count(g) for g in genera] == [2, 5, 9, 14]
 
 
 def test_generator_symbols_order():
@@ -67,17 +70,23 @@ def test_generator_symbols_order():
 
 
 def test_system_size_matches_count():
+    # g BEL1 equations, then a BEL2 equation for each pair i <= j
     for g in (1, 2, 3):
-        system = variety_system(GenusContext(g))
-        assert len(system.equations) == equation_count(g)
+        ctx = GenusContext(g)
+        odd = ctx.odd_indices
+        want = [f"BEL1[{i}]" for i in odd] + [f"BEL2[{i},{j}]" for i in odd for j in odd if i <= j]
+        got = [str(e.relation) for e in uniformize_check(ctx, table(g)).entries]
+        assert got == want and len(got) == equation_count(g)
 
 
 def test_ambient_dimension_is_symbol_count():
-    # 3g generators + g(g-1)/2 w symbols + 2g parameters
+    # 3g generators + g(g-1)/2 w symbols + 2g parameters = g(g+9)/2
+    dims = []
     for g in (1, 2, 3, 4):
         ctx = GenusContext(g)
-        n = 3 * g + len(ctx.w_pairs) + len(ctx.lambda_indices)
-        assert n == ambient_dimension(g)
+        dims.append(3 * g + len(ctx.w_pairs) + len(ctx.lambda_indices))
+        assert dims[-1] == g * (g + 9) // 2
+    assert dims == [5, 11, 18, 26]
 
 
 # --- uniformization ---------------------------------------------------------
