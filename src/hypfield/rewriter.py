@@ -4,14 +4,17 @@ The pipeline runs in a fixed order — curve parameters from the generating
 series, then the (3, l) entries from the first relation family, then the
 (k, l) entries with k >= 5 from the second family with the first index
 ascending — so that every extraction only references symbols that are
-already known.  Each entry is solved from its relation's product list: the
-products of the target alone give its coefficient, and the rest are summed
-with the entries already derived substituted, so no residual is built in
-the la and w symbols.  The result is a RelationTable mapping every la_s and
-every w_k_l to a homogeneous polynomial in the 3g generators, plus a
-reducer that rewrites arbitrary expressions into the fraction field of
-those generators, reading each atom straight from the table or as a
-generator (0 once an index reaches 2g+1) and substituting nothing.
+already known.  The three stages fill one map from symbol to polynomial,
+which is also the substitution map of each later extraction, and one
+provenance dict keyed by symbol name.  Each entry is solved from its
+relation's product list: the products of the target alone give its
+coefficient, and the rest are summed with the map substituted, so no
+residual is built in the la and w symbols.  The filled map, checked once
+for coverage and weight, splits into a RelationTable mapping every la_s and
+every w_k_l to a homogeneous polynomial in the 3g generators.  The reducer
+rewrites arbitrary expressions into the fraction field of those
+generators, reading each atom straight from the table or as a generator
+(0 once an index reaches 2g+1) and substituting nothing.
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ class RelationTable(NamedTuple):
 
     def substitution_env(self) -> dict:
         """Symbol -> pure-generator polynomial, for la and w symbols."""
-        return _substitution_env(self.lam, self.w)
+        env = {la(s): p for s, p in self.lam.items()}
+        env.update({w(k, l): p for (k, l), p in self.w.items()})
+        return env
 
     def text(self) -> str:
         lines = [f"genus {self.genus}", "lambda"]
@@ -108,12 +113,6 @@ class RelationTable(NamedTuple):
         return json.dumps(self.tree(), indent=2) + "\n"
 
 
-def _substitution_env(lam: Mapping[int, Poly], w_entries: Mapping[tuple, Poly]) -> dict:
-    env = {la(s): p for s, p in lam.items()}
-    env.update({w(k, l): p for (k, l), p in w_entries.items()})
-    return env
-
-
 def _solve(products: list, target: Symbol, env: dict, label: str) -> Poly:
     """Solve the sum of ``(c, symbol, ...)`` products = 0 for ``target``,
     which must occur alone in one term, to the first power; ``env``
@@ -131,86 +130,63 @@ def _solve(products: list, target: Symbol, env: dict, label: str) -> Poly:
     return solved
 
 
-def derive_lambda(ctx: GenusContext) -> tuple[dict, dict]:
-    """Curve parameters ``{s: polynomial}`` and their provenance labels,
-    from the xi-coefficients of the generating series."""
+def _derive(env: dict, provenance: dict, target: Symbol, products: list, label: str):
+    """Solve ``products`` for ``target`` with ``env`` substituted; store the
+    entry under the symbol and its label under the symbol's name."""
+    env[target] = _solve(products, target, env, label)
+    provenance[target.name] = label
+
+
+def derive_lambda(ctx: GenusContext, env: dict, provenance: dict):
+    """Add every curve parameter la_s to ``env``, each solved from an
+    xi-coefficient of the generating series."""
     if Poly.sum_of_products(l1_products(ctx, -1)):
         raise InternalInconsistency("xi^-1 coefficient of the series is not 4")
     if Poly.sum_of_products(l1_products(ctx, 0)):
         raise InternalInconsistency("xi^0 coefficient of the series is not 0")
-    out, provenance = {}, {}
     for i in range(1, 2 * ctx.g + 1):
-        s = 2 * i + 2
-        label = f"L1[xi^{i}]"
-        out[s] = _solve(l1_products(ctx, i), la(s), {}, label)
-        provenance[f"la_{s}"] = label
-    return out, provenance
+        _derive(env, provenance, la(2 * i + 2), l1_products(ctx, i), f"L1[xi^{i}]")
 
 
-def derive_w3(ctx: GenusContext, lambda_table: dict) -> tuple[dict, dict]:
-    """Entries (3, l) and their provenance labels, each solved from the first
-    relation family at i = l."""
-    out, provenance = {}, {}
-    env = _substitution_env(lambda_table, {})
+def derive_w3(ctx: GenusContext, env: dict, provenance: dict):
+    """Add the entries w_3_l to ``env``, each solved from the first relation
+    family at i = l."""
     for l in ctx.odd_indices:
-        if l < 3:
-            continue
-        label = str(RelationId("BEL1", (l,)))
-        out[(3, l)] = _solve(bel1_products(ctx, l), w(3, l), env, label)
-        provenance[f"w_3_{l}"] = label
-    return out, provenance
+        if l >= 3:
+            label = str(RelationId("BEL1", (l,)))
+            _derive(env, provenance, w(3, l), bel1_products(ctx, l), label)
 
 
-def extract_from_bel2(
-    ctx: GenusContext, env: dict, i: int, j: int, target: tuple
-) -> Poly:
-    """Solve the (i, j) instance of the quadratic family for one w symbol.
-
-    ``env`` must already map every other non-generator symbol of the
-    instance to a pure-generator polynomial.  Raises UnresolvedSymbol when
-    it does not, which signals an invalid extraction path.
-    """
-    return _solve(bel2_products(ctx, i, j), w(*target), env, str(RelationId("BEL2", (i, j))))
-
-
-def derive_w_high(ctx: GenusContext, lambda_table: dict, w3_table: dict) -> tuple[dict, dict]:
-    """Entries (k, l) with k >= 5 and their provenance labels, first index
-    ascending.
+def derive_w_high(ctx: GenusContext, env: dict, provenance: dict):
+    """Add the entries w_k_l with k >= 5 to ``env``, first index ascending.
 
     The (k-4, l) instance of the quadratic family is linear in the target;
     everything else it mentions has a smaller first index or is cut to zero.
     """
-    out, provenance = {}, {}
-    env = _substitution_env(lambda_table, w3_table)
     for k, l in ctx.w_pairs:
-        if k < 5:
-            continue
-        entry = extract_from_bel2(ctx, env, k - 4, l, (k, l))
-        out[(k, l)] = entry
-        env[w(k, l)] = entry
-        provenance[f"w_{k}_{l}"] = str(RelationId("BEL2", (k - 4, l)))
-    return out, provenance
+        if k >= 5:
+            label = str(RelationId("BEL2", (k - 4, l)))
+            _derive(env, provenance, w(k, l), bel2_products(ctx, k - 4, l), label)
 
 
 def build_table(ctx: GenusContext) -> RelationTable:
     """Full pipeline plus validation of coverage, purity and homogeneity."""
-    lam_table, lam_labels = derive_lambda(ctx)
-    w3_table, w3_labels = derive_w3(ctx, lam_table)
-    wh_table, wh_labels = derive_w_high(ctx, lam_table, w3_table)
-    w_table = {**w3_table, **wh_table}
-    provenance = {**lam_labels, **w3_labels, **wh_labels}
+    env, provenance = {}, {}
+    derive_lambda(ctx, env, provenance)
+    derive_w3(ctx, env, provenance)
+    derive_w_high(ctx, env, provenance)
 
-    if set(lam_table) != set(ctx.lambda_indices):
-        raise InternalInconsistency("lambda coverage mismatch")
-    if set(w_table) != set(ctx.w_pairs):
-        raise InternalInconsistency("w coverage mismatch")
-    for s, p in lam_table.items():
-        if homogeneous_weight(p) != s:
-            raise InternalInconsistency(f"la_{s} has wrong weight")
-    for (k, l), p in w_table.items():
-        if homogeneous_weight(p) != k + l:
-            raise InternalInconsistency(f"w_{k}_{l} has wrong weight")
-    return RelationTable(ctx.g, lam_table, w_table, provenance)
+    expected = [la(s) for s in ctx.lambda_indices] + [w(k, l) for k, l in ctx.w_pairs]
+    if set(env) != set(expected):
+        missing = [sym.name for sym in expected if sym not in env]
+        extra = [sym.name for sym in env if sym not in expected]
+        raise InternalInconsistency(f"coverage mismatch: missing {missing}, extra {extra}")
+    for sym, p in env.items():
+        if homogeneous_weight(p) != sym.weight:
+            raise InternalInconsistency(f"{sym.name} has wrong weight")
+    lam = {sym.indices[0]: p for sym, p in env.items() if sym.kind == "la"}
+    w_entries = {sym.indices: p for sym, p in env.items() if sym.kind == "w"}
+    return RelationTable(ctx.g, lam, w_entries, provenance)
 
 
 # ---------------------------------------------------------------------------

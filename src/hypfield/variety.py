@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import exactmath  # reached through the module: only rank runs it
-from .polyring import Poly, at_point, b1, b2, b3, homogeneous_weight
+from .polyring import MIXED, Poly, at_point, b1, b2, b3, homogeneous_weight
 from .relations import GenusContext, RelationId, bel1, bel2
 from .rewriter import RelationTable
 
@@ -49,7 +49,7 @@ class EquationStatus(NamedTuple):
         if self.is_zero:
             return f"{self.relation}: ZERO"
         wt = homogeneous_weight(self.residual)
-        wt_text = "mixed" if wt is None else str(wt)
+        wt_text = "mixed" if wt is MIXED else str(wt)
         return f"{self.relation}: NONZERO(weight={wt_text}, terms={len(self.residual.terms)})"
 
 

@@ -15,9 +15,10 @@ from hypfield.exprlang import parse
 from hypfield.numerics1 import independence_experiment
 from hypfield.polyring import Poly, homogeneous_weight, la
 from hypfield.relations import GenusContext, bel1, bel2
-from hypfield.rewriter import build_table, extract_from_bel2, reduce_expr
+from hypfield.rewriter import build_table, reduce_expr
 from hypfield.variety import p_jacobian_rank, p_map, random_rational_point, uniformize_check
 from hypfield.weierstrass import identity_residuals, random_lattice, random_sample_point
+from test_rewriter import extract_from_bel2
 
 GENERA = (1, 2, 3, 4)
 

@@ -152,3 +152,29 @@ def test_every_public_engine_name_has_a_caller():
             if not any(stmt is not node and name in names for stmt, names in statements):
                 orphans.append(f"{filename}:{name}")
     assert not orphans, "no caller in the package: " + ", ".join(orphans)
+
+
+def test_no_unused_imports():
+    """Every name an import binds in the package or in the tests is read in
+    that module.  ``from __future__`` imports are exempt, and so is an import
+    marked ``noqa``: ``numerics1`` holds ``LatticeContext`` for the span
+    recorder, which wraps it there."""
+    package, tests = Path(hypfield.__file__).parent, Path(__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
+    assert not unused, "imported but never read: " + ", ".join(unused)

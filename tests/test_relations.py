@@ -4,7 +4,6 @@ import copy
 import pickle
 
 import pytest
-from fractions import Fraction
 
 from hypfield.polyring import Poly, Symbol, XiSeries, b1, b2, b3, homogeneous_weight, la, w
 from hypfield.relations import (
@@ -12,7 +11,9 @@ from hypfield.relations import (
     IndexOutOfRange,
     RelationId,
     bel1,
+    bel1_products,
     bel2,
+    bel2_products,
     generator_series,
     l1_products,
     l1_rhs,
@@ -196,6 +197,25 @@ def test_residuals_match_the_reference(g):
         for j in ctx.odd_indices:
             got = bel2(ctx, i, j)
             assert got == ref_bel2(g, i, j) and str(got) == str(ref_bel2(g, i, j)), (i, j)
+
+
+def test_product_lists_truncate_to_every_lower_genus():
+    """At genus 12, dropping each product with a b or w factor of index 2g+1
+    or more leaves exactly genus g's BEL1 and BEL2 lists, in their order."""
+    top = GenusContext(12)
+
+    def truncated(products, g):
+        return [
+            p for p in products
+            if all(s.kind == "la" or max(s.indices) < 2 * g + 1 for s in p[1:])
+        ]
+
+    for g in range(1, 12):
+        ctx = GenusContext(g)
+        for i in ctx.odd_indices:
+            assert truncated(bel1_products(top, i), g) == bel1_products(ctx, i), (g, i)
+            for j in ctx.odd_indices:
+                assert truncated(bel2_products(top, i, j), g) == bel2_products(ctx, i, j), (g, i, j)
 
 
 def test_symbols_are_interned():

@@ -9,7 +9,7 @@ import pytest
 
 from hypfield import rewriter
 from hypfield.polyring import Poly, b1, b2, b3, homogeneous_weight, la, w
-from hypfield.relations import GenusContext
+from hypfield.relations import GenusContext, RelationId, bel2_products
 from hypfield.rewriter import (
     BinOp,
     Const,
@@ -22,7 +22,6 @@ from hypfield.rewriter import (
     UnsupportedSymbol,
     build_table,
     derive_lambda,
-    extract_from_bel2,
     format_fraction,
     normalize_fraction,
     reduce_expr,
@@ -88,12 +87,58 @@ def test_text_serialization_deterministic():
 
 
 def test_derive_lambda_matches_table():
-    lam, labels = derive_lambda(GenusContext(2))
-    assert lam == table(2).lam
-    assert labels == {k: v for k, v in table(2).provenance.items() if k.startswith("la_")}
+    env, provenance = {}, {}
+    derive_lambda(GenusContext(2), env, provenance)
+    assert env == {la(s): p for s, p in table(2).lam.items()}
+    assert provenance == {k: v for k, v in table(2).provenance.items() if k.startswith("la_")}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda env: env.pop(w(5, 5)), r"missing \['w_5_5'\], extra \[\]"),
+        (lambda env: env.update({w(7, 7): env[w(5, 5)] ** 2}), r"missing \[\], extra \['w_7_7'\]"),
+        (lambda env: env.update({w(5, 5): env[w(5, 5)] + 1}), "w_5_5 has wrong weight"),
+    ],
+    ids=["skipped-entry", "extra-entry", "wrong-weight"],
+)
+def test_build_table_checks_coverage_and_weight(monkeypatch, edit, message):
+    stage = rewriter.derive_w_high
+
+    def faulty_stage(ctx, env, provenance):
+        stage(ctx, env, provenance)
+        edit(env)
+
+    monkeypatch.setattr(rewriter, "derive_w_high", faulty_stage)
+    with pytest.raises(rewriter.InternalInconsistency, match=message):
+        build_table(GenusContext(3))
+
+
+def test_tables_are_stable_under_lowering_the_genus():
+    """tau_g sets every generator of index 2g+1 or more to 0.  It carries
+    each entry of table(g+1) onto the same entry of table(g), and the
+    entries new at genus g+1 onto 0; tau_g is a ring homomorphism, so an
+    equation that reduces to 0 at genus G does so at every g <= G."""
+    for g in range(1, 17):
+        tau = {maker(2 * g + 1): Poly.zero() for maker in (b1, b2, b3)}
+        low, high = table(g).substitution_env(), table(g + 1).substitution_env()
+        new = {la(4 * g + 4), la(4 * g + 6)} | {w(k, 2 * g + 1) for k in range(3, 2 * g + 2, 2)}
+        assert set(high) - set(low) == new and set(low) <= set(high)
+        for sym, p in high.items():
+            assert p.substitute(tau) == low.get(sym, Poly.zero()), (g, sym)
 
 
 # --- alternative extraction path -------------------------------------------
+
+def extract_from_bel2(ctx: GenusContext, env: dict, i: int, j: int, target: tuple) -> Poly:
+    """Solve the (i, j) instance of the quadratic family for the w symbol at
+    ``target``: the path-independence oracle, which takes an instance the
+    derivation does not.  ``env`` must map every other non-generator symbol
+    of the instance to a pure-generator polynomial; UnresolvedSymbol when it
+    does not signals an invalid extraction path."""
+    label = str(RelationId("BEL2", (i, j)))
+    return rewriter._solve(bel2_products(ctx, i, j), w(*target), env, label)
+
 
 def test_path_independence_smoke():
     ctx = GenusContext(3)

@@ -15,9 +15,10 @@ import sympy
 import hypfield
 from hypfield.exactmath import rank_exact
 from hypfield.polyring import Poly, at_point, b1, b2, b3
-from hypfield.relations import GenusContext
+from hypfield.relations import GenusContext, RelationId
 from hypfield.rewriter import RelationTable, build_table
 from hypfield.variety import (
+    EquationStatus,
     generator_symbols,
     p_eval,
     p_jacobian_rank,
@@ -113,6 +114,18 @@ def test_uniformize_detects_corruption():
     assert report.zero_count < equation_count(g)
     assert any("NONZERO" in line for line in report.lines())
 
+
+
+@pytest.mark.parametrize(
+    "residual,line",
+    [
+        (Poly.symbol(b1(1)) * Poly.symbol(b1(3)), "BEL1[3]: NONZERO(weight=6, terms=1)"),
+        (Poly.symbol(b1(1)) + Poly.one(), "BEL1[3]: NONZERO(weight=mixed, terms=2)"),
+    ],
+    ids=["homogeneous", "mixed"],
+)
+def test_nonzero_status_line_names_the_weight(residual, line):
+    assert EquationStatus(RelationId("BEL1", (3,)), residual).line() == line
 
 # A child's peak RSS counts its parent's RSS at the fork, so the two
 # processes are started from a small probe process, not from the test runner.
