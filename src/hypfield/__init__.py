@@ -124,12 +124,6 @@ class _Record:
         return type(self), self._values()
 
 
-def _has_run(module: types.ModuleType) -> bool:
-    """Whether ``module``'s code has run; asking runs none of it.  No
-    object can be an instance of a class of a module that has not run."""
-    return type(module) is not _Lazy
-
-
 def __getattr__(name):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,6 @@ argument of any length is echoed as a short prefix.
 from __future__ import annotations
 
 import argparse
-import builtins
 import math
 import random
 import sys
@@ -22,8 +21,8 @@ from fractions import Fraction
 # calls.  --version runs none, numeric only weierstrass, disc only curve,
 # exactmath and relations (no polynomial code), and only independence
 # imports numpy.
-from . import MAX_SAMPLE_ROWS, __version__, _has_run
-from . import curve, exprlang, numerics1, polyring, relations, rewriter, variety, weierstrass
+from . import MAX_SAMPLE_ROWS, __version__
+from . import curve, exprlang, numerics1, relations, rewriter, variety, weierstrass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,33 +50,34 @@ def _cut(message: str, width: int = 120) -> str:
 _OUT_OF_SCOPE = "closure under further differentiation is out of scope"
 
 
-def _is(exc: Exception, module, name: str) -> bool:
-    """``isinstance(exc, module.name)``, which is False without a look if
-    ``module``'s code has not run, so mapping an error runs no module."""
-    return _has_run(module) and isinstance(exc, getattr(module, name))
-
-
-# How a command's exception ends it: the first row whose class matches gives
-# the exit code and the text after "error: ", with {} for the exception's own
-# text.  Every input error the package raises subclasses ValueError, as does
-# Python's limit on int <-> str conversion of more than 4300 digits.
-# Anything else is a bug and propagates.
-_EXITS = (
-    (rewriter, "DivisionByZeroPoly", EXIT_NUMERIC, "{}"),
-    (rewriter, "InternalInconsistency", EXIT_VERIFY, "{}"),
-    (polyring, "ExponentOverflow", EXIT_USAGE, "{}"),
+# How a command's exception ends it: the row of its first class along the MRO
+# that has one gives the exit code and the text after "error: ", with {} for
+# the exception's own text.  Rows are keyed by qualified class name, so mapping
+# an error reads no module attribute and runs no module.  Every input error
+# the package raises subclasses ValueError, as does Python's limit on int <->
+# str conversion of more than 4300 digits, and every failed derivation
+# InternalInconsistency.  Anything else is a bug and propagates.
+_EXITS = {
+    "hypfield.rewriter.DivisionByZeroPoly": (EXIT_NUMERIC, "{}"),
+    "hypfield.rewriter.InternalInconsistency": (EXIT_VERIFY, "{}"),
     # the parser and the reducer recurse once per nesting level
-    (builtins, "RecursionError", EXIT_USAGE, "expression nested too deeply"),
-    (rewriter, "UnsupportedSymbol", EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
-    (builtins, "ValueError", EXIT_USAGE, "{}"),
-)
+    "builtins.RecursionError": (EXIT_USAGE, "expression nested too deeply"),
+    "hypfield.rewriter.UnsupportedSymbol": (EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
+    "builtins.ValueError": (EXIT_USAGE, "{}"),
+}
+
+
+def _classes(exc: Exception):
+    """The qualified names of ``exc``'s classes, its own first."""
+    return (f"{cls.__module__}.{cls.__qualname__}" for cls in type(exc).__mro__)
 
 
 def _report(exc: Exception) -> int:
     """Print ``exc`` under the ``error:`` prefix and return its exit code;
-    re-raise it if no row of ``_EXITS`` matches."""
-    for module, name, code, form in _EXITS:
-        if _is(exc, module, name):
+    re-raise it if no class of it has a row in ``_EXITS``."""
+    for name in _classes(exc):
+        if name in _EXITS:
+            code, form = _EXITS[name]
             # no usage line above it, so it may run longer than argparse's errors
             print("error: " + form.format(_cut(_plain(exc), 240)), file=sys.stderr)
             return code
@@ -105,7 +105,7 @@ def _arg(reason: str, convert, accept=lambda value: True):
                 return value
             cause = reason
         except (ValueError, ArithmeticError) as exc:
-            own = _is(exc, weierstrass, "DegenerateLattice")
+            own = "hypfield.weierstrass.DegenerateLattice" in _classes(exc)
             cause = str(exc) if own else _plain(exc, reason)
         raise argparse.ArgumentTypeError(f"{cause}, got {text!r}")
 

@@ -31,6 +31,11 @@ from .weierstrass import LatticeContext  # noqa: F401  (perfbench's tracer wraps
 # sample points keep at least this many periods from every lattice point
 _MARGIN = 0.3
 
+# the most monomial columns the experiment takes, the 64 of weight <= 16 in
+# wp, wp', wp'': the sample matrix is built as a rows * columns * 3 complex
+# array, and well above this weight its verdict is noise (exit 4 at weight 40)
+MAX_COLUMNS = 64
+
 
 class InsufficientSamples(ValueError):
     """Fewer sample rows than monomial columns."""
@@ -203,9 +208,15 @@ def independence_experiment(
             f"is above the cap of {MAX_SAMPLE_ROWS}"
         )
     # count the columns only up to one past the rows, before any sampling
-    if sum(1 for _ in itertools.islice(_exponents(weights, weight_bound), rows + 1)) > rows:
+    columns = sum(1 for _ in itertools.islice(_exponents(weights, weight_bound), rows + 1))
+    if columns > rows:
         raise InsufficientSamples(
             f"{rows} rows < columns: more than {rows} monomials of weight <= {weight_bound}"
+        )
+    if columns > MAX_COLUMNS:
+        raise ValueError(
+            f"{columns} monomials of weight <= {weight_bound} is above the cap of "
+            f"{MAX_COLUMNS} columns"
         )
     monos = _monomials(weights, weight_bound)
     samples = []

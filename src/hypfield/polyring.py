@@ -66,7 +66,7 @@ class OffsetUnderflow(ArithmeticError):
     """A xi-series product produced a nonzero coefficient below xi^-1."""
 
 
-class ExponentOverflow(ArithmeticError):
+class ExponentOverflow(ArithmeticError, ValueError):
     """A product or power would raise a symbol past ``MAX_EXPONENT``."""
 
 

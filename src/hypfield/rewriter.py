@@ -33,8 +33,8 @@ class InternalInconsistency(RuntimeError):
     """A forced cancellation in the derivation pipeline failed."""
 
 
-class UnresolvedSymbol(RuntimeError):
-    """An extraction referenced a symbol that is not yet derived."""
+class UnresolvedSymbol(InternalInconsistency):
+    """An extraction cannot solve for its target."""
 
 
 class UnsupportedSymbol(ValueError):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import hypfield
 from hypfield.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
-from hypfield.polyring import Poly
+from hypfield.polyring import Poly, w
 from hypfield.rewriter import InternalInconsistency, build_table
 
 
@@ -190,6 +191,24 @@ def test_internal_inconsistency_is_a_verification_failure(capsys, monkeypatch, a
     assert code == EXIT_VERIFY
     assert out == ""
     assert err == "error: forced cancellation failed\n"
+
+
+def drop_own_products(monkeypatch):
+    """Make each BEL1 list lose its target's own product, so that the
+    derivation cannot solve for w_3_l."""
+    real = hypfield.relations.bel1_products
+    monkeypatch.setattr(
+        "hypfield.rewriter.bel1_products",
+        lambda ctx, l: [p for p in real(ctx, l) if p[1:] != (w(3, l),)],
+    )
+
+
+def test_failed_extraction_is_a_verification_failure(capsys, monkeypatch):
+    drop_own_products(monkeypatch)
+    code, out, err = run(capsys, "verify", "--genus", "2")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "error: w_3_3 does not occur linearly in BEL1[3]\n"
 
 
 def test_an_exception_no_exit_maps_is_a_bug_and_propagates(monkeypatch):
@@ -628,7 +647,14 @@ REDUCER = ["exprlang", "polyring", "relations", "rewriter"]
      "b1_1\n(1) / (b1_1)\n", "error: unexpected end of input (at position 4)\n", REDUCER),
     (["reduce", "--genus", "1"], "p[1,1]\nla4/0\n1/p[1,1]\n", EXIT_NUMERIC,
      "b1_1\n(1) / (b1_1)\n", "error: denominator reduced to the zero polynomial\n", REDUCER),
-], ids=["samples-cap", "argparse", "degenerate-lattice", "reduce-syntax", "reduce-zero"])
+    # as many modules as disc's success path runs
+    (["disc", "--genus", "2", "--lambda", "1,2,3"], None, EXIT_USAGE, "",
+     "error: expected 4 parameters, got 3\n", ["curve", "exactmath", "relations"]),
+    # the cap is checked before the table is built
+    (["rank", "--genus", "2", "--samples", "20000"], None, EXIT_USAGE, "",
+     "error: 20000 samples is above the cap of 10000\n", []),
+], ids=["samples-cap", "argparse", "degenerate-lattice", "reduce-syntax", "reduce-zero",
+        "disc-arity", "rank-cap"])
 def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err, ran):
     """A fresh process: the exception classes that map an error to its exit
     code belong to engine modules that may not have run yet, and mapping
@@ -644,6 +670,62 @@ def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err, r
     assert json.loads(ran_line) == ran
     assert proc.stderr.endswith(err)
     assert "Traceback" not in proc.stderr
+
+
+def test_every_exit_row_names_an_exception_class():
+    # a renamed or moved class fails here instead of escaping as a traceback
+    for key in hypfield.cli._EXITS:
+        module, _, name = key.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        assert isinstance(cls, type) and issubclass(cls, Exception), key
+        assert f"{cls.__module__}.{cls.__qualname__}" == key
+
+
+# one command per row of the exit table: argv, stdin, and whether each BEL1
+# list loses its target's own product first
+EXIT_ROWS = {
+    "hypfield.rewriter.DivisionByZeroPoly": (["reduce", "--genus", "1", "1/(la4-la4)"], "", False),
+    "hypfield.rewriter.InternalInconsistency": (["verify", "--genus", "2"], "", True),
+    "builtins.RecursionError": (["reduce", "--genus", "1"], DEEP["parentheses"], False),
+    "hypfield.rewriter.UnsupportedSymbol": (["reduce", "--genus", "2", "p[3,3,3]"], "", False),
+    "builtins.ValueError": (["rank", "--genus", "2", "--samples", "20000"], "", False),
+}
+
+
+def test_every_exit_row_is_hit_by_a_command(capsys, monkeypatch):
+    assert list(EXIT_ROWS) == list(hypfield.cli._EXITS)
+    reported = []
+    real = hypfield.cli._report
+
+    def spy(exc):
+        reported.append(exc)
+        return real(exc)
+
+    monkeypatch.setattr(hypfield.cli, "_report", spy)
+    for key, (argv, stdin, broken) in EXIT_ROWS.items():
+        with monkeypatch.context() as patch:
+            if broken:
+                drop_own_products(patch)
+            patch.setattr("sys.stdin", io.StringIO(stdin))
+            code, _, _ = run(capsys, *argv)
+        (exc,) = reported
+        reported.clear()
+        rows = [name for name in hypfield.cli._classes(exc) if name in hypfield.cli._EXITS]
+        assert rows[0] == key
+        assert code == hypfield.cli._EXITS[key][0]
+
+
+def test_independence_columns_capped_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled although the columns are above the cap")
+
+    monkeypatch.setattr("hypfield.numerics1.random_lattice", no_sampling)
+    monkeypatch.setattr("hypfield.numerics1.random_sample_point", no_sampling)
+    argv = ["--lattices", "10", "--samples", "100", "--weight-bound", "40"]
+    code, out, err = run(capsys, "independence", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: 632 monomials of weight <= 40 is above the cap of 64 columns\n"
 
 
 def test_usage_errors_from_argparse():

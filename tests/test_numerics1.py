@@ -551,6 +551,21 @@ def test_sample_rows_capped_before_sampling(monkeypatch):
         independence_experiment(100, 100, 400, seed=0)
 
 
+def test_columns_capped_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(numerics1, "random_sample_point", no_sampling)
+    # 1000 rows cover the 632 columns of weight <= 40, but the cap is 64
+    with pytest.raises(ValueError, match="^632 monomials of weight <= 40 is above the cap of 64"):
+        independence_experiment(10, 100, 40, seed=0)
+    with pytest.raises(ValueError, match="^72 monomials of weight <= 17"):
+        independence_experiment(10, 100, 17, seed=0)
+    # weight <= 16 has exactly 64 columns: the check passes and sampling starts
+    with pytest.raises(AssertionError, match="sampled"):
+        independence_experiment(10, 100, 16, seed=0)
+
+
 def test_experiment_argument_validation():
     with pytest.raises(ValueError):
         independence_experiment(0, 10, 6, seed=0)

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,42 +116,54 @@ def test_pickles_load_in_a_process_that_only_imported_the_package():
     assert texts == [str(obj) for obj in objects]
 
 
-def _referenced(node: ast.AST) -> set:
-    """Every name ``node`` reads: bare names, attribute names and the names
-    an import brings in."""
-    out = set()
+def _reads(node: ast.AST) -> Counter:
+    """How often ``node`` reads each name: bare names, attribute names and
+    the names an import brings in."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name)
+            out[sub.name] += 1
     return out
 
 
+def _definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each module-level function and class
+    and of each method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
+
+
 def test_every_public_engine_name_has_a_caller():
-    """Each public module-level function and class of the package is read
-    somewhere in the package outside its own definition, exported by
-    ``hypfield``, or wrapped by the benchmark's span recorder: code that
-    only tests run does not live in the engine.  Methods are not covered,
-    and ``Poly.substitute`` and ``XiSeries`` stay for as long as the span
-    recorder wraps them."""
-    traced = {attr.split(".")[0] for _, attr, _, _ in load_tracing().TARGETS}
+    """Each public module-level function and class of the package, and each
+    public method of a public class, is read somewhere in the package outside
+    its own definition, exported by ``hypfield``, or wrapped by the
+    benchmark's span recorder: code that only tests run does not live in
+    the engine.  A method counts as read wherever its name is read as an
+    attribute.  ``Poly.substitute`` and ``XiSeries`` stay for as long as the
+    span recorder wraps them."""
+    targets = {attr for _, attr, _, _ in load_tracing().TARGETS}
+    traced = targets | {attr.split(".")[0] for attr in targets}
     package = Path(hypfield.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    # every top-level statement of every module, each with the names it reads
-    statements = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
     orphans = []
     for filename, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualname, node in _definitions(tree):
             name = node.name
-            if name.startswith("_") or name in hypfield._EXPORTS or name in traced:
+            private = any(part.startswith("_") for part in qualname.split("."))
+            if private or qualname in hypfield._EXPORTS or qualname in traced:
                 continue
-            if not any(stmt is not node and name in names for stmt, names in statements):
-                orphans.append(f"{filename}:{name}")
+            if reads[name] == _reads(node)[name]:
+                orphans.append(f"{filename}:{qualname}")
     assert not orphans, "no caller in the package: " + ", ".join(orphans)
 
 
