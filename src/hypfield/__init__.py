@@ -55,24 +55,34 @@ _lock = threading.RLock()
 _running = set()  # modules whose code is running, on the thread holding _lock
 
 
+def _run(module):
+    """Run a lazy module's code, unless it has run or this thread runs it."""
+    with _lock:
+        if type(module) is _Lazy and module not in _running:
+            _running.add(module)
+            try:
+                spec = types.ModuleType.__getattribute__(module, "__spec__")
+                spec.loader.exec_module(module)
+                types.ModuleType.__setattr__(module, "__class__", types.ModuleType)
+            finally:
+                _running.discard(module)
+
+
 class _Lazy(types.ModuleType):
     """An engine module whose code has not run.  Any attribute access but
-    ``__spec__``, which the import statement reads, runs it; the module
-    keeps this class until its code has finished, then becomes a plain
-    module.  If the code raises, the next access runs it again."""
+    ``__spec__``, which the import statement reads, runs it, and so does an
+    assignment, which the code would otherwise undo when it runs later; the
+    module keeps this class until its code has finished, then becomes a
+    plain module.  If the code raises, the next access runs it again."""
 
     def __getattribute__(self, name):
         if name != "__spec__":
-            with _lock:
-                if type(self) is _Lazy and self not in _running:
-                    _running.add(self)
-                    try:
-                        spec = types.ModuleType.__getattribute__(self, "__spec__")
-                        spec.loader.exec_module(self)
-                        self.__class__ = types.ModuleType
-                    finally:
-                        _running.discard(self)
+            _run(self)
         return types.ModuleType.__getattribute__(self, name)
+
+    def __setattr__(self, name, value):
+        _run(self)
+        types.ModuleType.__setattr__(self, name, value)
 
 
 for _name in _ENGINE:

@@ -215,13 +215,15 @@ def _check_samples(samples: int) -> None:
 
 def cmd_table(args) -> int:
     table = rewriter.build_table(relations.GenusContext(args.genus))
-    sys.stdout.write(table.tree_text() if args.format == "tree" else table.text())
+    if args.format == "tree":
+        sys.stdout.write(table.tree_text())
+    else:
+        sys.stdout.writelines(table.lines())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    ctx = relations.GenusContext(args.genus)
-    report = variety.uniformize_check(ctx, rewriter.build_table(ctx))
+    report = variety.uniformize_check(rewriter.build_table(relations.GenusContext(args.genus)))
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -232,7 +234,7 @@ def cmd_verify(args) -> int:
 
 
 def _reduce_one(ctx, table, text: str) -> None:
-    print(rewriter.format_fraction(*rewriter.reduce_expr(ctx, table, exprlang.parse(text, ctx))))
+    print(rewriter.format_fraction(*rewriter.reduce_expr(table, exprlang.parse(text, ctx))))
 
 
 def cmd_reduce(args) -> int:

@@ -90,14 +90,19 @@ class RelationTable(NamedTuple):
         env.update({w(k, l): p for (k, l), p in self.w.items()})
         return env
 
-    def text(self) -> str:
-        lines = [f"genus {self.genus}", "lambda"]
+    def lines(self):
+        """The text form one newline-ended line at a time, so a writer holds
+        one entry."""
+        yield f"genus {self.genus}\n"
+        yield "lambda\n"
         for s in sorted(self.lam):
-            lines.append(f"la_{s} = {self.lam[s]}")
-        lines.append("w")
+            yield f"la_{s} = {self.lam[s]}\n"
+        yield "w\n"
         for k, l in sorted(self.w):
-            lines.append(f"w_{k}_{l} = {self.w[(k, l)]}")
-        return "\n".join(lines) + "\n"
+            yield f"w_{k}_{l} = {self.w[(k, l)]}\n"
+
+    def text(self) -> str:
+        return "".join(self.lines())
 
     def tree(self) -> dict:
         return {
@@ -225,9 +230,10 @@ def normalize_fraction(num: Poly, den: Poly):
     return num, den
 
 
-def reduce_expr(ctx: GenusContext, table: RelationTable, e: Expr):
+def reduce_expr(table: RelationTable, e: Expr):
     """Rewrite an expression to a normalized (numerator, denominator) pair
-    of pure-generator polynomials."""
+    of pure-generator polynomials, at the table's genus."""
+    ctx = GenusContext(table.genus)
 
     def go(node) -> tuple:
         if isinstance(node, Const):

@@ -73,9 +73,10 @@ class UniformizeReport(NamedTuple):
         return out
 
 
-def uniformize_check(ctx: GenusContext, table: RelationTable) -> UniformizeReport:
-    """Sum every defining equation with the derived table substituted,
-    each residual only when its turn comes, so one is held at a time."""
+def uniformize_check(table: RelationTable) -> UniformizeReport:
+    """Sum every defining equation of the table's genus with the table
+    substituted, each residual only when its turn comes, one at a time."""
+    ctx = GenusContext(table.genus)
     entries = tuple(EquationStatus(*eq) for eq in _equations(ctx, table.substitution_env()))
     return UniformizeReport(ctx.g, entries)
 

@@ -36,7 +36,7 @@ def report(number, label, ok):
 def test_01_uniformization():
     ok = True
     for g in GENERA:
-        rep = uniformize_check(GenusContext(g), table(g))
+        rep = uniformize_check(table(g))
         ok = ok and rep.passed and rep.zero_count == g * (g + 3) // 2
     report(1, "uniformization g=1..4", ok)
 
@@ -47,7 +47,7 @@ def test_02_counts_and_dimensions():
     equations, dimensions = [], []
     for g in GENERA:
         ctx = GenusContext(g)
-        equations.append(len(uniformize_check(ctx, table(g)).entries))
+        equations.append(len(uniformize_check(table(g)).entries))
         dimensions.append(3 * g + len(ctx.w_pairs) + len(ctx.lambda_indices))
     ok = equations == [2, 5, 9, 14] == [g * (g + 3) // 2 for g in GENERA]
     ok = ok and dimensions == [5, 11, 18, 26] == [g * (g + 9) // 2 for g in GENERA]
@@ -162,7 +162,7 @@ def test_10_reducer_field_check():
     ctx = GenusContext(1)
     t = table(1)
     expr = parse("p[1,1,1]^2 - 4*p[1,1]^3 - 4*la4*p[1,1] - 4*la6", ctx)
-    num, den = reduce_expr(ctx, t, expr)
+    num, den = reduce_expr(t, expr)
     ok = num.is_zero() and den == Poly.one()
 
     rng = random.Random(42)

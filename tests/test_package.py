@@ -74,23 +74,35 @@ def test_first_use_from_four_threads_at_once():
     assert fresh(FIRST_USE_IN_THREADS) == b"ok\n"
 
 
-LIBRARY = """
-import hypfield
-assert ran() == []
-from hypfield import GenusContext, build_table, uniformize_check, reduce_expr
+ASSIGN_BEFORE_FIRST_READ = """
+import hypfield.cli
+hypfield.rewriter.build_table = lambda ctx: hypfield.rewriter.RelationTable(ctx.g, {}, {}, {})
+assert hypfield.cli.main(["table", "--genus", "1"]) == 0
+"""
 
-ctx = GenusContext(2)
-table = build_table(ctx)
-report = uniformize_check(ctx, table)
-assert report.passed
+
+def test_an_assignment_before_the_first_read_is_kept():
+    """Assigning to a module that has not run runs it first, so its code
+    does not undo the assignment later."""
+    assert fresh(ASSIGN_BEFORE_FIRST_READ) == b"genus 1\nlambda\nw\n"
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_library_example() -> str:
+    """The python block under README's "Library entry points"."""
+    section = README.read_text().split("## Library entry points\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```\n", 1)[0]
+
+
+def test_readme_library_example_and_every_public_name():
+    library = "import hypfield\nassert ran() == []\n" + readme_library_example() + """
 for name in hypfield.__all__:
     assert getattr(hypfield, name) is not None, name
 print(" ".join(ran()))
 """
-
-
-def test_readme_library_example_and_every_public_name():
-    out = fresh(LIBRARY).decode().split()
+    out = fresh(library).decode().split()
     # exactmath runs only for ranks, which the example does not take
     assert out == ["polyring", "relations", "rewriter", "variety"]
 

@@ -201,7 +201,7 @@ def test_normalize_zero_denominator_raises():
 # --- reduction --------------------------------------------------------------
 
 def reduce1(e):
-    return reduce_expr(GenusContext(1), table(1), e)
+    return reduce_expr(table(1), e)
 
 
 def test_reduce_atoms():
@@ -213,33 +213,28 @@ def test_reduce_atoms():
 
 
 def test_reduce_sorts_psym_indices():
-    ctx = GenusContext(2)
-    t = table(2)
-    got = reduce_expr(ctx, t, PSym((3, 1, 1)))
+    got = reduce_expr(table(2), PSym((3, 1, 1)))
     assert got == (Poly.symbol(b2(3)), Poly.one())
 
 
 def test_reduce_cutoff_symbol_is_zero():
-    ctx = GenusContext(3)
-    got = reduce_expr(ctx, table(3), PSym((7, 9)))
+    got = reduce_expr(table(3), PSym((7, 9)))
     assert got == (Poly.zero(), Poly.one())
 
 
 def test_reduce_w_symbol_lands_in_generators():
-    ctx = GenusContext(2)
-    num, den = reduce_expr(ctx, table(2), PSym((3, 3)))
+    num, den = reduce_expr(table(2), PSym((3, 3)))
     assert den == Poly.one()
     assert num == table(2).w[(3, 3)]
 
 
 def test_reduce_unsupported_symbols():
-    ctx = GenusContext(2)
     with pytest.raises(UnsupportedSymbol):
-        reduce_expr(ctx, table(2), PSym((3, 3, 3)))
+        reduce_expr(table(2), PSym((3, 3, 3)))
     with pytest.raises(UnsupportedSymbol):
-        reduce_expr(ctx, table(2), PSym((1, 3, 3)))
+        reduce_expr(table(2), PSym((1, 3, 3)))
     with pytest.raises(UnsupportedSymbol):
-        reduce_expr(ctx, table(2), Lam(20))
+        reduce_expr(table(2), Lam(20))
 
 
 def test_reduce_division_and_powers():
@@ -283,16 +278,15 @@ def random_expr(rng, depth=3):
 def test_reduce_respects_field_operations():
     # cross-multiplied equality: n/d == n'/d' iff n*d' == n'*d
     rng = random.Random(23)
-    ctx = GenusContext(1)
     t = table(1)
     for _ in range(40):
         a = random_expr(rng)
         b = random_expr(rng)
-        na, da = reduce_expr(ctx, t, a)
-        nb, db = reduce_expr(ctx, t, b)
-        ns, ds = reduce_expr(ctx, t, BinOp("+", a, b))
+        na, da = reduce_expr(t, a)
+        nb, db = reduce_expr(t, b)
+        ns, ds = reduce_expr(t, BinOp("+", a, b))
         assert ns * (da * db) == (na * db + nb * da) * ds
-        np_, dp = reduce_expr(ctx, t, BinOp("*", a, b))
+        np_, dp = reduce_expr(t, BinOp("*", a, b))
         assert np_ * (da * db) == (na * nb) * dp
 
 

@@ -62,7 +62,7 @@ def equation_count(g):
 
 def test_counts():
     genera = (1, 2, 3, 4)
-    got = [len(uniformize_check(GenusContext(g), table(g)).entries) for g in genera]
+    got = [len(uniformize_check(table(g)).entries) for g in genera]
     assert got == [equation_count(g) for g in genera] == [2, 5, 9, 14]
 
 
@@ -76,7 +76,7 @@ def test_system_size_matches_count():
         ctx = GenusContext(g)
         odd = ctx.odd_indices
         want = [f"BEL1[{i}]" for i in odd] + [f"BEL2[{i},{j}]" for i in odd for j in odd if i <= j]
-        got = [str(e.relation) for e in uniformize_check(ctx, table(g)).entries]
+        got = [str(e.relation) for e in uniformize_check(table(g)).entries]
         assert got == want and len(got) == equation_count(g)
 
 
@@ -94,8 +94,7 @@ def test_ambient_dimension_is_symbol_count():
 
 def test_uniformize_passes():
     for g in (1, 2):
-        ctx = GenusContext(g)
-        report = uniformize_check(ctx, table(g))
+        report = uniformize_check(table(g))
         assert report.passed
         assert report.zero_count == equation_count(g)
         lines = report.lines()
@@ -109,7 +108,7 @@ def test_uniformize_detects_corruption():
     lam = dict(t.lam)
     lam[4] = lam[4] + Poly.one()
     bad = RelationTable(g, lam, t.w, t.provenance)
-    report = uniformize_check(GenusContext(g), bad)
+    report = uniformize_check(bad)
     assert not report.passed
     assert report.zero_count < equation_count(g)
     assert any("NONZERO" in line for line in report.lines())
@@ -166,8 +165,7 @@ from hypfield.relations import GenusContext
 from hypfield.rewriter import build_table
 from hypfield.variety import uniformize_check
 
-ctx = GenusContext(16)
-assert uniformize_check(ctx, build_table(ctx)).passed
+assert uniformize_check(build_table(GenusContext(16))).passed
 print(" ".join(s.name for s in polyring._SYMS))
 """
 
