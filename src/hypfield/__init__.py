@@ -9,9 +9,10 @@ Weierstrass numerics and exact Jacobian-rank experiments.
 Importing the package runs none of the engine.  Every engine module is in
 ``sys.modules`` and on the package from the start, but its code runs on the
 first access to one of its attributes, so a process runs only the modules
-its work reaches: ``hypfield --version`` runs none, ``numeric`` only
-``weierstrass``, and only ``independence`` runs ``numerics1`` and so
-imports numpy.  The names in ``__all__`` resolve on first use.
+its work reaches: ``hypfield --version`` runs none, ``numeric`` and
+``independence`` only ``weierstrass``, and none runs ``numerics1``, the
+compatibility module that imports numpy for the benchmark's span recorder.
+The names in ``__all__`` resolve on first use.
 
 The engine's frozen records whose equality must see the type, or whose
 constructor checks or derives fields, subclass ``_Record``, defined here so

@@ -18,11 +18,11 @@ from fractions import Fraction
 
 # Engine modules are reached through their attributes: each runs on its
 # first use (see the package docstring), so a subcommand runs only what it
-# calls.  --version runs none, numeric only weierstrass, disc only curve,
-# exactmath and relations (no polynomial code), and only independence
+# calls.  --version runs none, numeric and independence only weierstrass,
+# disc only curve, exactmath and relations (no polynomial code), and none
 # imports numpy.
 from . import MAX_SAMPLE_ROWS, __version__
-from . import curve, exprlang, numerics1, relations, rewriter, variety, weierstrass
+from . import curve, exprlang, relations, rewriter, variety, weierstrass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,7 +216,7 @@ def _check_samples(samples: int) -> None:
 def cmd_table(args) -> int:
     table = rewriter.build_table(relations.GenusContext(args.genus))
     if args.format == "tree":
-        sys.stdout.write(table.tree_text())
+        sys.stdout.writelines(table.tree_lines())
     else:
         sys.stdout.writelines(table.lines())
     return EXIT_OK
@@ -308,13 +308,13 @@ def cmd_independence(args) -> int:
     # the control's sample count is checked before any sampling, and both
     # experiments run before anything is printed
     if args.lattices > 1:
-        numerics1.check_control_samples(args.samples)
-    report = numerics1.independence_experiment(
+        weierstrass.check_control_samples(args.samples)
+    report = weierstrass.independence_experiment(
         args.lattices, args.samples, args.weight_bound, args.seed, args.tol
     )
     if args.lattices > 1:
-        control = numerics1.independence_experiment(
-            1, args.samples, numerics1.CONTROL_WEIGHT_BOUND, args.seed, args.tol
+        control = weierstrass.independence_experiment(
+            1, args.samples, weierstrass.CONTROL_WEIGHT_BOUND, args.seed, args.tol
         )
     for line in report.lines():
         print(line)

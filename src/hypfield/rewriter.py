@@ -101,21 +101,31 @@ class RelationTable(NamedTuple):
         for k, l in sorted(self.w):
             yield f"w_{k}_{l} = {self.w[(k, l)]}\n"
 
-    def text(self) -> str:
-        return "".join(self.lines())
-
-    def tree(self) -> dict:
-        return {
-            "genus": self.genus,
-            "lambda": {str(s): str(self.lam[s]) for s in sorted(self.lam)},
-            "w": {f"{k},{l}": str(self.w[(k, l)]) for k, l in sorted(self.w)},
-            "provenance": {k: self.provenance[k] for k in sorted(self.provenance)},
-        }
-
-    def tree_text(self) -> str:
+    def tree_lines(self):
+        """The JSON form one newline-ended line at a time, the text of
+        ``json.dumps(tree, indent=2)`` and a newline, so a writer holds one
+        entry; each key and value passes ``json.dumps``."""
         import json  # only table --format tree needs it
 
-        return json.dumps(self.tree(), indent=2) + "\n"
+        sections = (
+            ("lambda", self.lam, str),
+            ("w", self.w, lambda kl: f"{kl[0]},{kl[1]}"),
+            ("provenance", self.provenance, str),
+        )
+        yield "{\n"
+        yield f'  "genus": {json.dumps(self.genus)},\n'
+        for n, (name, entries, label) in enumerate(sections, 1):
+            after = "," if n < len(sections) else ""
+            keys = sorted(entries)
+            if not keys:
+                yield f"  {json.dumps(name)}: {{}}{after}\n"
+                continue
+            yield f"  {json.dumps(name)}: {{\n"
+            for i, key in enumerate(keys, 1):
+                comma = "," if i < len(keys) else ""
+                yield f"    {json.dumps(label(key))}: {json.dumps(str(entries[key]))}{comma}\n"
+            yield f"  }}{after}\n"
+        yield "}\n"
 
 
 def _solve(products: list, target: Symbol, env: dict, label: str) -> Poly:

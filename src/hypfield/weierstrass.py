@@ -22,16 +22,24 @@ below double precision, and no power of a raw period can overflow before
 the final scaling by (2 pi i/reduced1)^(k+2).  The invariants g2 and g3
 come from the Fourier series of the normalized Eisenstein sums E4 and E6
 on the same q.
+
+The rank experiment samples these functions on random lattices and takes
+the numeric rank of the matrix of monomials in them, also in pure Python:
+a Householder R of the sample matrix, then one-sided Jacobi rotations on R
+for its singular values and, in the single-lattice control, its kernel.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
-from typing import NamedTuple
+import sys
+from operator import add, mul, sub
+from typing import NamedTuple, Optional
 
-from . import _Record
+from . import MAX_SAMPLE_ROWS, _Record
 
 
 class DegenerateLattice(ValueError):
@@ -249,3 +257,327 @@ def random_sample_point(
         z = rng.uniform(0.0, 1.0) * v1 + rng.uniform(0.0, 1.0) * v2
         if ctx.lattice_distance(z) >= floor:
             return z
+
+
+# ---------------------------------------------------------------------------
+# rank experiment
+
+# sample points keep at least this many periods from every lattice point
+_MARGIN = 0.3
+
+# a bound on the Jacobi sweeps, which converge quadratically: seeded
+# experiments up to the column cap took at most 14
+_MAX_SWEEPS = 40
+
+# the most monomial columns the experiment takes, the 64 of weight <= 16 in
+# wp, wp', wp'': its QR takes rows * columns^2 steps, and well above this
+# weight its verdict is noise (exit 4 at weight 40)
+MAX_COLUMNS = 64
+
+
+class InsufficientSamples(ValueError):
+    """Fewer sample rows than monomial columns."""
+
+
+def _exponents(weights: tuple, bound: int):
+    """Yield every exponent tuple with weighted degree <= bound, constant
+    included; each range stops at the remaining budget, so nothing is
+    generated and then filtered out."""
+    if not weights:
+        yield ()
+        return
+    w = weights[0]
+    for e in range(bound // w + 1):
+        for rest in _exponents(weights[1:], bound - w * e):
+            yield (e,) + rest
+
+
+def _monomials(weights: tuple, bound: int) -> list:
+    """Exponent tuples with weighted degree <= bound, constant included,
+    sorted by weight then exponents."""
+    def weight(exps):
+        return sum(w * e for w, e in zip(weights, exps))
+
+    return sorted(_exponents(weights, bound), key=lambda exps: (weight(exps), exps))
+
+
+def _invariants(d: int) -> int:
+    """N(d): the monomials R4^i R6^j of weight 4i + 6j <= d."""
+    return sum((d - 6 * j) // 4 + 1 for j in range(d // 6 + 1)) if d >= 0 else 0
+
+
+def forced_kernel(lattices: int, weight_bound: int) -> int:
+    """The kernel that ``lattices`` generic lattices force on the monomials
+    in wp, wp', wp'' of weight <= ``weight_bound``.
+
+    On each lattice R4 = wp'' - 6 wp^2 and R6 = wp'^2 + 8 wp^3 - 2 wp wp''
+    are constants, so the monomials span a free graded Q[R4, R6]-module
+    with basis wp^a (weight 2a) and wp' wp^a (weight 2a + 3).  The multiples
+    of a basis element b of weight w_b reach N(W - w_b) monomials in R4 and
+    R6, and L lattices tell at most L of them apart, so b contributes
+    max(0, N(W - w_b) - L) kernel vectors.  None is forced from
+    N(W) lattices on."""
+    weights = [*range(0, weight_bound + 1, 2), *range(3, weight_bound + 1, 2)]
+    return sum(max(0, _invariants(weight_bound - w) - lattices) for w in weights)
+
+
+class RankReport(NamedTuple):
+    mode: str                 # "multi-lattice" or "single-lattice"
+    generator_names: tuple
+    weight_bound: int
+    monomials: tuple          # exponent tuples aligned with columns
+    n_rows: int
+    n_cols: int
+    singular_values: tuple
+    threshold: float
+    kernel: Optional[tuple]   # single-lattice mode only
+    forced: Optional[int] = None  # multi-lattice mode only: forced_kernel's count
+
+    @property
+    def sigma_min(self) -> float:
+        return self.singular_values[-1]
+
+    @property
+    def sigma_max(self) -> float:
+        return self.singular_values[0]
+
+    @property
+    def ratio(self) -> float:
+        return self.sigma_min / self.sigma_max
+
+    @property
+    def deficiency(self) -> int:
+        smax = self.sigma_max
+        return sum(1 for s in self.singular_values if s < self.threshold * smax)
+
+    @property
+    def full_rank(self) -> bool:
+        return self.deficiency == 0
+
+    def monomial_name(self, exps: tuple) -> str:
+        if not any(exps):
+            return "1"
+        parts = []
+        for name, e in zip(self.generator_names, exps):
+            if e == 1:
+                parts.append(name)
+            elif e > 1:
+                parts.append(f"{name}^{e}")
+        return "*".join(parts)
+
+    def lines(self) -> list:
+        out = [
+            f"mode: {self.mode}",
+            f"columns: {self.n_cols} (monomials in {', '.join(self.generator_names)}, weight <= {self.weight_bound})",
+            f"rows: {self.n_rows}",
+            f"sigma_min/sigma_max: {self.ratio:.3e}",
+        ]
+        if self.full_rank:
+            out.append("verdict: FULL RANK")
+        else:
+            out.append(f"verdict: DEFICIENCY {self.deficiency}")
+        if self.forced is not None:
+            out.append(
+                f"forced kernel: {self.forced}; none from "
+                f"{_invariants(self.weight_bound)} lattices"
+            )
+        if self.kernel is not None:
+            # rounded to the printed places first, and + 0.0 turns -0.0 into
+            # 0.0, so a part that is rounding noise prints as +0.000000
+            def part(x: float) -> str:
+                return f"{round(x, 6) + 0.0:+.6f}"
+
+            terms = [
+                f"{self.monomial_name(m)}: {part(c.real)}{part(c.imag)}j"
+                for m, c in zip(self.monomials, self.kernel)
+            ]
+            out.append("kernel: " + "; ".join(terms))
+        return out
+
+
+def _dot(x: list, y: list) -> complex:
+    """x^H y for complex vectors x and y."""
+    return sum(map(mul, map(complex.conjugate, x), y))
+
+
+def _householder_r(columns: list) -> list:
+    """The n x n upper-triangular R of b = QR, for b given as its n columns
+    of m >= n complex entries, returned as its columns.  Q is never formed:
+    reflection k takes column k below row k to a multiple of its first
+    entry and is applied to the rows k.. of the later columns."""
+    n = len(columns)
+    tails = list(columns)  # the rows k.. of each column j >= k
+    r = [[] for _ in columns]
+    for k in range(n):
+        x = tails[k]
+        norm = math.sqrt(_dot(x, x).real)
+        if norm:
+            # alpha = -(phase of x[0]) |x|, so v = x - alpha e_1 cancels nothing
+            # and |v|^2 = 2 |x| (|x| + |x[0]|)
+            alpha = -norm * (x[0] / abs(x[0]) if x[0] else 1 + 0j)
+            v = [x[0] - alpha, *x[1:]]
+            vh = list(map(complex.conjugate, v))
+            scale = 1 / (norm * (norm + abs(x[0])))
+        else:  # a zero column needs no reflection
+            alpha = 0j
+        r[k].append(alpha)
+        for j in range(k + 1, n):
+            y = tails[j]
+            if norm:
+                f = scale * sum(map(mul, vh, y))
+                y = list(map(sub, y, map(f.__mul__, v)))
+            r[j].append(y[0])
+            tails[j] = y[1:]
+    return [col + [0j] * (n - 1 - j) for j, col in enumerate(r)]
+
+
+def _jacobi_svd(columns: list, vectors: bool):
+    """Singular values of the square complex matrix with these columns,
+    largest first, and, if ``vectors``, its right singular vectors in the
+    same order (else None).
+
+    One-sided Jacobi (Hestenes; Demmel & Veselic, SIAM J. Matrix Anal.
+    Appl. 13, 1992): each rotation makes one pair of columns orthogonal,
+    and the sweeps over all pairs stop once every pair is orthogonal to
+    n eps relative to the two column norms.  The singular values are then
+    the column norms, and the rotations multiplied together are the right
+    singular vectors.  Each sweep takes the columns by decreasing norm (de
+    Rijk, SIAM J. Sci. Stat. Comput. 10, 1989), which saved up to a quarter
+    of the sweeps on the experiment's matrices."""
+    a = list(columns)
+    n = len(a)
+    v = [[complex(i == j) for i in range(n)] for j in range(n)]
+    tol = n * sys.float_info.epsilon
+    norms = [_dot(col, col).real for col in a]
+    for _ in range(_MAX_SWEEPS):
+        order = sorted(range(n), key=norms.__getitem__, reverse=True)
+        a, v, norms = ([x[j] for j in order] for x in (a, v, norms))
+        rotated = False
+        for p, q in itertools.combinations(range(n), 2):
+            gamma = _dot(a[p], a[q])
+            g = abs(gamma)
+            if g <= tol * math.sqrt(norms[p] * norms[q]):
+                continue
+            rotated = True
+            # the real rotation that diagonalizes [[|a_p|^2, g], [g, |a_q|^2]]
+            # (Golub & Van Loan, 8.5.2), applied to (a_p, a_q gamma*/g)
+            zeta = (norms[q] - norms[p]) / (2 * g)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1 / math.hypot(1.0, t)
+            s = c * t
+            phase = gamma.conjugate() / g
+            cx, sy, sx, cy = complex(c), s * phase, complex(s), c * phase
+            for cols in (a, v) if vectors else (a,):
+                x, y = cols[p], cols[q]
+                cols[p] = list(map(sub, map(cx.__mul__, x), map(sy.__mul__, y)))
+                cols[q] = list(map(add, map(sx.__mul__, x), map(cy.__mul__, y)))
+            norms[p] = _dot(a[p], a[p]).real
+            norms[q] = _dot(a[q], a[q]).real
+        if not rotated:  # nothing moved, so the columns are still in order
+            break
+    return [math.sqrt(x) for x in norms], v if vectors else None
+
+
+# the single-lattice control: monomials in wp, wp' of weight <= 6, whose one
+# kernel vector is the cubic
+CONTROL_WEIGHT_BOUND = 6
+
+
+def check_control_samples(samples: int) -> None:
+    """Refuse, before any sampling, fewer samples than the single-lattice
+    control has columns."""
+    need = len(_monomials((2, 3), CONTROL_WEIGHT_BOUND))
+    if samples < need:
+        raise InsufficientSamples(
+            f"the single-lattice control needs {need} samples, one per monomial in "
+            f"wp, wp' of weight <= {CONTROL_WEIGHT_BOUND}; got {samples}"
+        )
+
+
+def independence_experiment(
+    lattice_count: int,
+    samples_per_lattice: int,
+    weight_bound: int,
+    seed: int,
+    threshold: float = 1e-6,
+) -> RankReport:
+    """Numeric rank of the monomial sample matrix.
+
+    Multi-lattice mode samples across varying parameters and uses monomials
+    in all three generators (wp, wp', wp'').  Single-lattice mode is the
+    negative control: it uses monomials in (wp, wp') only, where the unique
+    low-weight identity at fixed parameters is the classical cubic; the
+    second derivative is excluded there because it satisfies its own
+    weight-4 identity and would add spurious kernel vectors.
+    """
+    if lattice_count < 1:
+        raise ValueError("need at least one lattice")
+    if weight_bound < 2:
+        raise ValueError("weight bound must be at least 2")
+    rng = random.Random(seed)
+    single = lattice_count == 1
+    if single:
+        names = ("wp", "wp'")
+        weights = (2, 3)
+    else:
+        names = ("wp", "wp'", "wp''")
+        weights = (2, 3, 4)
+    rows = lattice_count * samples_per_lattice
+    if rows > MAX_SAMPLE_ROWS:
+        raise ValueError(
+            f"{lattice_count} lattices * {samples_per_lattice} samples = {rows} rows "
+            f"is above the cap of {MAX_SAMPLE_ROWS}"
+        )
+    # count the columns only up to one past the rows, before any sampling
+    columns = sum(1 for _ in itertools.islice(_exponents(weights, weight_bound), rows + 1))
+    if columns > rows:
+        raise InsufficientSamples(
+            f"{rows} rows < columns: more than {rows} monomials of weight <= {weight_bound}"
+        )
+    if columns > MAX_COLUMNS:
+        raise ValueError(
+            f"{columns} monomials of weight <= {weight_bound} is above the cap of "
+            f"{MAX_COLUMNS} columns"
+        )
+    monos = _monomials(weights, weight_bound)
+    exponents = list(zip(*monos))  # exponents[g][j]: generator g's in monomial j
+    a = []
+    for _ in range(lattice_count):
+        ctx = random_lattice(rng)
+        for _ in range(samples_per_lattice):
+            z = random_sample_point(ctx, rng, _MARGIN)
+            # row[j] = prod over generators g of (value of g) ** monos[j][g]
+            row = [1 + 0j] * len(monos)
+            for x, w, exps in zip(_wp_all(ctx, z), weights, exponents):
+                powers = [x ** e for e in range(weight_bound // w + 1)]
+                row = list(map(mul, row, map(powers.__getitem__, exps)))
+            # row normalization leaves the column nullspace untouched but
+            # removes the pole-driven dynamic range between samples
+            norm = math.sqrt(_dot(row, row).real)
+            a.append([x / norm for x in row])
+    # columns are then scaled to unit norm so the verdict is not a
+    # conditioning artifact
+    cols = list(zip(*a))
+    norms = [math.sqrt(_dot(col, col).real) for col in cols]
+    b = [[x / n for x in col] for col, n in zip(cols, norms)]
+    # b = QR with Q's columns orthonormal, so the small square R has b's
+    # singular values and right singular vectors (Chan, ACM TOMS 8, 1982)
+    svals, vectors = _jacobi_svd(_householder_r(b), vectors=single)
+    kernel = None
+    if single:
+        vec = [v / n for v, n in zip(vectors[-1], norms)]
+        # normalize on the largest coefficient for a stable report
+        pivot = max(vec, key=abs)
+        kernel = tuple(v / pivot for v in vec)
+    return RankReport(
+        mode="single-lattice" if single else "multi-lattice",
+        generator_names=names,
+        weight_bound=weight_bound,
+        monomials=tuple(monos),
+        n_rows=len(a),
+        n_cols=len(monos),
+        singular_values=tuple(svals),
+        threshold=threshold,
+        kernel=kernel,
+        forced=None if single else forced_kernel(lattice_count, weight_bound),
+    )

@@ -489,7 +489,7 @@ def test_independence_control_too_small_is_a_usage_error(capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled although the control cannot run")
 
-    monkeypatch.setattr("hypfield.numerics1.random_lattice", no_sampling)
+    monkeypatch.setattr("hypfield.weierstrass.random_lattice", no_sampling)
     for argv in (["--samples", "5"], ["--lattices", "1000", "--samples", "6"]):
         code, out, err = run(capsys, "independence", *argv)
         assert code == EXIT_USAGE
@@ -585,19 +585,20 @@ def test_numeric_never_imports_numpy(argv):
     assert probe["out"].endswith("PASS\n")
 
 
-def test_only_the_tree_format_imports_json():
-    probe = startup_probe("table --genus 2 --format tree")
-    assert probe["loaded"] == {name: name == "json" for name in LEAN}
-
-
-def test_independence_imports_numpy():
+def test_independence_never_imports_numpy():
     # two lattices would leave their shared relations in the kernel; three
     # at weight <= 6 are full rank and the control finds the cubic
     probe = startup_probe("independence --lattices 3 --samples 30 --weight-bound 6")
-    assert probe["numpy"]
-    assert probe["ran"] == ["numerics1", "weierstrass"]
+    assert not probe["numpy"]
+    assert probe["ran"] == ["weierstrass"]
+    assert not any(probe["loaded"].values()), probe["loaded"]
     assert probe["out"].splitlines()[4] == "verdict: FULL RANK"
     assert "verdict: DEFICIENCY 1" in probe["out"]
+
+
+def test_only_the_tree_format_imports_json():
+    probe = startup_probe("table --genus 2 --format tree")
+    assert probe["loaded"] == {name: name == "json" for name in LEAN}
 
 
 @pytest.mark.parametrize("argvs, ran", [
@@ -719,8 +720,8 @@ def test_independence_columns_capped_before_sampling(capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled although the columns are above the cap")
 
-    monkeypatch.setattr("hypfield.numerics1.random_lattice", no_sampling)
-    monkeypatch.setattr("hypfield.numerics1.random_sample_point", no_sampling)
+    monkeypatch.setattr("hypfield.weierstrass.random_lattice", no_sampling)
+    monkeypatch.setattr("hypfield.weierstrass.random_sample_point", no_sampling)
     argv = ["--lattices", "10", "--samples", "100", "--weight-bound", "40"]
     code, out, err = run(capsys, "independence", *argv)
     assert code == EXIT_USAGE

@@ -176,7 +176,7 @@ def curve_point(g: int, seed: int) -> tuple:
 def entries(g: int) -> dict:
     """Each entry of ``rewriter.build_table``'s genus-g table, by name, as
     ``(coefficient, {generator: exponent})`` terms read off its text."""
-    lines = rewriter.build_table(GenusContext(g)).text().splitlines()
+    lines = "".join(rewriter.build_table(GenusContext(g)).lines()).splitlines()
     out = {}
     for name, text in (line.split(" = ") for line in lines if " = " in line):
         out[name] = []

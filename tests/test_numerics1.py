@@ -1,6 +1,7 @@
-"""Genus-1 numerics: lattice reduction, invariants, function values and
-identity residuals (``weierstrass``), and the monomial rank experiment
-(``numerics1``).
+"""Genus-1 numerics in ``weierstrass``: lattice reduction, invariants,
+function values, identity residuals and the monomial rank experiment, whose
+pure-Python SVD is checked against numpy's; and the compatibility module
+``numerics1``.
 
 Oracles: basis-change invariance and scaling laws for the invariants,
 symmetry zeros on the square and hexagonal lattices, parity/periodicity of
@@ -24,22 +25,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypfield import numerics1, weierstrass
-from hypfield.numerics1 import (
-    InsufficientSamples,
-    RankReport,
-    _invariants,
-    _monomials,
-    forced_kernel,
-    independence_experiment,
-)
+from hypfield import weierstrass
 from hypfield.weierstrass import (
     DegenerateLattice,
+    InsufficientSamples,
     LatticeContext,
     NearPole,
+    RankReport,
+    _householder_r,
+    _invariants,
+    _jacobi_svd,
+    _monomials,
     _wp_all,
+    forced_kernel,
     gauss_reduce,
     identity_residuals,
+    independence_experiment,
     random_lattice,
     random_sample_point,
 )
@@ -458,7 +459,7 @@ def test_multi_lattice_experiment_full_rank():
 
 
 def test_kernel_parts_below_the_printed_places_print_without_a_minus():
-    # LAPACK leaves zero coefficients as +-1e-17 noise, whose sign would flip
+    # the SVD leaves zero coefficients as +-1e-17 noise, whose sign would flip
     report = RankReport(
         "single-lattice", ("wp", "wp'"), 3, ((0, 0), (1, 0), (0, 1)), 3, 3,
         (1.0, 0.5, 1e-9), 1e-6, (complex(1, -1e-17), complex(-1e-17, -1e-17), -0.25 + 4e-7j),
@@ -488,35 +489,68 @@ def test_single_lattice_control_finds_the_cubic():
         assert abs(got[mono] / pivot - want) < 1e-5 * scale
 
 
+def sample_matrix(lattices, samples, bound, seed):
+    """The experiment's column-scaled sample matrix b and its column norms,
+    rebuilt in numpy from the same draws."""
+    rng = random.Random(seed)
+    weights = (2, 3) if lattices == 1 else (2, 3, 4)
+    values = []
+    for _ in range(lattices):
+        ctx = random_lattice(rng)
+        for _ in range(samples):
+            z = random_sample_point(ctx, rng, weierstrass._MARGIN)
+            values.append(_wp_all(ctx, z)[: len(weights)])
+    a = np.prod(np.array(values)[:, None, :] ** np.array(_monomials(weights, bound)), axis=2)
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    norms = np.linalg.norm(a, axis=0)
+    return a / norms, norms
+
+
 @pytest.mark.parametrize("lattices, samples, bound", [(12, 60, 8), (1, 60, 6)])
-def test_svd_of_r_matches_the_direct_svd(monkeypatch, lattices, samples, bound):
-    # the experiment takes the SVD of R from b = QR; capture b and the
-    # right singular vectors and compare with the SVD of b itself
-    seen = {}
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def capture_qr(b, *args, **kwargs):
-        seen["b"] = b
-        return qr(b, *args, **kwargs)
-
-    def capture_svd(r, *args, **kwargs):
-        out = svd(r, *args, **kwargs)
-        seen["vh"] = out[2]
-        return out
-
-    monkeypatch.setattr(np.linalg, "qr", capture_qr)
-    monkeypatch.setattr(np.linalg, "svd", capture_svd)
+def test_svd_of_r_matches_the_direct_svd(lattices, samples, bound):
+    # the experiment takes the SVD of R from b = QR; numpy's SVD of b
+    # itself is the oracle, and the kernel, scaled back to b's columns,
+    # must be a null vector of b
     report = independence_experiment(lattices, samples, bound, seed=7)
-    monkeypatch.undo()
-    b = seen["b"]
+    b, norms = sample_matrix(lattices, samples, bound, seed=7)
     assert b.shape == (report.n_rows, report.n_cols)
     direct = np.linalg.svd(b, compute_uv=False)
     got = np.array(report.singular_values)
     assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
     assert (report.kernel is None) == (lattices > 1)
     if report.kernel is not None:
-        v = np.conj(seen["vh"][-1])
-        assert np.linalg.norm(b @ v) <= 1e-10
+        v = np.array(report.kernel) * norms
+        assert np.linalg.norm(b @ (v / np.linalg.norm(v))) <= 1e-10
+
+
+@pytest.mark.parametrize("m, n, rank, zero", [
+    (50, 10, 10, None),
+    (50, 10, 9, None),
+    (60, 12, 9, None),
+    (30, 8, 7, 3),  # Householder step 3 finds nothing to reflect
+    (30, 8, 7, 0),
+    (400, 64, 64, None),
+], ids=["full-rank", "deficient-by-1", "deficient-by-3", "zero-column", "zero-first-column",
+        "400x64"])
+def test_householder_r_and_jacobi_svd_match_numpy(m, n, rank, zero):
+    rng = np.random.default_rng(5)
+
+    def gauss(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    b = gauss(m, n) if zero is not None or rank == n else gauss(m, rank) @ gauss(rank, n)
+    if zero is not None:
+        b[:, zero] = 0
+    columns = [[complex(x) for x in col] for col in b.T]
+    svals, vectors = _jacobi_svd(_householder_r(columns), vectors=True)
+    direct = np.linalg.svd(b, compute_uv=False)
+    assert np.max(np.abs(np.array(svals) - direct)) <= 1e-12 * direct[0]
+    assert int(np.sum(direct > 1e-10 * direct[0])) == rank
+    v = np.array(vectors).T  # the right singular vectors as columns
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
+    # b v_k has norm sigma_k; past the rank that makes v_k a null vector
+    assert np.max(np.abs(np.linalg.norm(b @ v, axis=0) - svals)) <= 1e-12 * direct[0]
+    assert all(np.linalg.norm(b @ v[:, k]) <= 1e-10 for k in range(rank, n))
 
 
 def test_insufficient_samples_raises():
@@ -530,7 +564,7 @@ def test_insufficient_samples_raised_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled although the columns outnumber the rows")
 
-    monkeypatch.setattr(numerics1, "random_sample_point", no_sampling)
+    monkeypatch.setattr(weierstrass, "random_sample_point", no_sampling)
     with pytest.raises(InsufficientSamples):
         independence_experiment(6, 40, 400, seed=0)
     with pytest.raises(InsufficientSamples):
@@ -541,7 +575,7 @@ def test_sample_rows_capped_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled although the rows are above the cap")
 
-    monkeypatch.setattr(numerics1, "random_sample_point", no_sampling)
+    monkeypatch.setattr(weierstrass, "random_sample_point", no_sampling)
     with pytest.raises(ValueError, match="above the cap of 10000"):
         independence_experiment(101, 100, 8, seed=0)
     with pytest.raises(ValueError, match="above the cap of 10000"):
@@ -555,7 +589,7 @@ def test_columns_capped_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled")
 
-    monkeypatch.setattr(numerics1, "random_sample_point", no_sampling)
+    monkeypatch.setattr(weierstrass, "random_sample_point", no_sampling)
     # 1000 rows cover the 632 columns of weight <= 40, but the cap is 64
     with pytest.raises(ValueError, match="^632 monomials of weight <= 40 is above the cap of 64"):
         independence_experiment(10, 100, 40, seed=0)
@@ -573,37 +607,24 @@ def test_experiment_argument_validation():
         independence_experiment(2, 10, 1, seed=0)
 
 
-# numerics1 runs in the child on first use, so numpy is loaded there
-THREAD_PROBE = """
-import os, sys
-import hypfield
-hypfield.numerics1.forced_kernel
-assert "numpy" in sys.modules
-threads = None
-if os.path.exists("/proc/self/status"):
-    with open("/proc/self/status") as status:
-        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
-print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+# what perfbench/tracing.py reads: the traced names in numerics1, then
+# numpy.linalg, which reading them has loaded
+COMPATIBILITY_PROBE = """
+import sys
+from hypfield import numerics1, weierstrass
+assert "numpy" not in sys.modules
+for name in ("LatticeContext", "_wp_all", "independence_experiment"):
+    assert getattr(numerics1, name) is getattr(weierstrass, name), name
+assert "numpy.linalg" in sys.modules
+print("ok")
 """
 
 
-def run_thread_probe(**setting):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env.update(setting, PYTHONPATH=str(Path(numerics1.__file__).parents[1]))
+def test_numerics1_holds_the_traced_names_and_loads_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(weierstrass.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", COMPATIBILITY_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
-
-def test_numpy_loads_with_one_openblas_thread():
-    setting, threads = run_thread_probe()
-    assert setting == "None"  # the setting is gone from os.environ again
-    if threads == "None":
-        pytest.skip("no /proc/self/status to count threads in")
-    assert threads == "1"
-
-
-def test_openblas_thread_setting_of_the_caller_is_kept():
-    assert run_thread_probe(OPENBLAS_NUM_THREADS="2")[0] == "2"
+    assert proc.stdout == "ok\n"

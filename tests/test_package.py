@@ -52,7 +52,7 @@ def first_use():
         LatticeContext(1, 1j)
         from hypfield.relations import GenusContext
         from hypfield.rewriter import build_table
-        tables.append(build_table(GenusContext(2)).text())
+        tables.append("".join(build_table(GenusContext(2)).lines()))
     except Exception as exc:
         failures.append(repr(exc))
 
@@ -142,6 +142,18 @@ def _reads(node: ast.AST) -> Counter:
     return out
 
 
+def _method_reads(node: ast.AST) -> Counter:
+    """How often ``node`` reads each name as a method: keyed by name, each
+    attribute read; keyed by ``(name,)``, each attribute read that is called."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+            out[(sub.func.attr,)] += 1
+    return out
+
+
 def _definitions(tree: ast.Module):
     """``(qualified name, node)`` of each module-level function and class
     and of each method of such a class."""
@@ -159,14 +171,18 @@ def test_every_public_engine_name_has_a_caller():
     public method of a public class, is read somewhere in the package outside
     its own definition, exported by ``hypfield``, or wrapped by the
     benchmark's span recorder: code that only tests run does not live in
-    the engine.  A method counts as read wherever its name is read as an
-    attribute.  ``Poly.substitute`` and ``XiSeries`` stay for as long as the
-    span recorder wraps them."""
+    the engine.  A method counts as read only where its name is read as an
+    attribute and called, ``x.name(...)``, and a property where it is read
+    as an attribute: a bare name of the same spelling, such as a local
+    variable, and a record field of the same name (``Token.text``) are no
+    calls of it.  ``Poly.substitute`` and ``XiSeries`` stay for as long as
+    the span recorder wraps them."""
     targets = {attr for _, attr, _, _ in load_tracing().TARGETS}
     traced = targets | {attr.split(".")[0] for attr in targets}
     package = Path(hypfield.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    method_reads = sum((_method_reads(tree) for tree in trees.values()), Counter())
     orphans = []
     for filename, tree in trees.items():
         for qualname, node in _definitions(tree):
@@ -174,7 +190,13 @@ def test_every_public_engine_name_has_a_caller():
             private = any(part.startswith("_") for part in qualname.split("."))
             if private or qualname in hypfield._EXPORTS or qualname in traced:
                 continue
-            if reads[name] == _reads(node)[name]:
+            if "." not in qualname:
+                key, total, own = name, reads, _reads(node)
+            else:
+                decorators = [d.id for d in node.decorator_list if isinstance(d, ast.Name)]
+                key = name if "property" in decorators else (name,)
+                total, own = method_reads, _method_reads(node)
+            if total[key] == own[key]:
                 orphans.append(f"{filename}:{qualname}")
     assert not orphans, "no caller in the package: " + ", ".join(orphans)
 
@@ -182,8 +204,9 @@ def test_every_public_engine_name_has_a_caller():
 def test_no_unused_imports():
     """Every name an import binds in the package or in the tests is read in
     that module.  ``from __future__`` imports are exempt, and so is an import
-    marked ``noqa``: ``numerics1`` holds ``LatticeContext`` for the span
-    recorder, which wraps it there."""
+    marked ``noqa``: ``numerics1`` imports numpy and three ``weierstrass``
+    names only for the span recorder, which wraps the names there and then
+    reads ``numpy.linalg``."""
     package, tests = Path(hypfield.__file__).parent, Path(__file__).parent
     unused = []
     for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):

@@ -13,7 +13,7 @@ import hypfield
 from hypfield import _Record
 from hypfield.curve import LambdaVector
 from hypfield.exprlang import Token
-from hypfield.numerics1 import RankReport
+from hypfield.weierstrass import RankReport
 from hypfield.polyring import Poly
 from hypfield.relations import GenusContext, RelationId
 from hypfield.rewriter import BinOp, Const, Lam, Neg, Pow, PSym, RelationTable

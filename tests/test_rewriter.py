@@ -75,15 +75,31 @@ def test_provenance_labels():
 
 def test_tree_serialization():
     t = table(2)
-    data = json.loads(t.tree_text())
+    data = json.loads("".join(t.tree_lines()))
     assert set(data) == {"genus", "lambda", "w", "provenance"}
     assert data["genus"] == 2
     assert data["lambda"]["4"] == str(t.lam[4])
     assert data["w"]["3,3"] == str(t.w[(3, 3)])
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_tree_lines_are_the_indented_json_dump(g):
+    # one newline-ended line per entry, together json.dumps's text; at g = 1
+    # the w section is empty and prints as {}
+    t = table(g)
+    tree = {
+        "genus": g,
+        "lambda": {str(s): str(t.lam[s]) for s in sorted(t.lam)},
+        "w": {f"{k},{l}": str(t.w[(k, l)]) for k, l in sorted(t.w)},
+        "provenance": {name: t.provenance[name] for name in sorted(t.provenance)},
+    }
+    lines = list(t.tree_lines())
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    assert "".join(lines) == json.dumps(tree, indent=2) + "\n"
+
+
 def test_text_serialization_deterministic():
-    assert table(2).text() == build_table(GenusContext(2)).text()
+    assert "".join(table(2).lines()) == "".join(build_table(GenusContext(2)).lines())
 
 
 def test_derive_lambda_matches_table():
