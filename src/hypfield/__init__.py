@@ -38,7 +38,6 @@ _EXPORTS = {
     "build_table": "rewriter",
     "reduce_expr": "rewriter",
     "uniformize_check": "variety",
-    "p_map": "variety",
     "p_eval": "variety",
     "p_jacobian_rank": "variety",
 }

@@ -262,9 +262,8 @@ def cmd_rank(args) -> int:
     _check_samples(args.samples)
     ctx = relations.GenusContext(args.genus)
     table = rewriter.build_table(ctx)
-    pm = variety.p_map(table)
     if args.point is not None:
-        values, rank = variety.p_values_and_rank(pm, args.point)
+        values, rank = variety.p_values_and_rank(table, args.point)
         print("lambda = " + ",".join(map(str, values)))
         print(f"rank {rank}")
         return EXIT_OK
@@ -273,15 +272,15 @@ def cmd_rank(args) -> int:
     hits = 0
     for _ in range(args.samples):
         point = variety.random_rational_point(args.genus, rng)
-        if variety.p_jacobian_rank(pm, point) == target:
+        if variety.p_jacobian_rank(table, point) == target:
             hits += 1
-    origin_rank = variety.p_jacobian_rank(pm, [Fraction(0)] * (3 * args.genus))
+    origin_rank = variety.p_jacobian_rank(table, [Fraction(0)] * (3 * args.genus))
     print(f"rank {target} at {hits}/{args.samples} points; rank {origin_rank} at origin")
     return EXIT_OK
 
 
 def cmd_disc(args) -> int:
-    d = curve.discriminant(curve.LambdaVector.from_sequence(args.genus, args.lambda_values))
+    d = curve.discriminant(args.genus, args.lambda_values)
     membership = "IN" if d == 0 else "NOT IN"  # a multiple root iff d vanishes
     print(f"disc = {d}; lambda {membership} Sigma_g")
     return EXIT_OK

@@ -13,41 +13,23 @@ runs it, so a numeric ``disc`` runs no polynomial code.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Sequence
 
-from . import _Record, polyring
+from . import polyring
 from .exactmath import det_exact, det_generic
 from .relations import GenusContext
 
 
-class LambdaVector(_Record):
-    __slots__ = _fields = ("genus", "values")
-
-    def __init__(self, genus: int, values: Mapping[int, Fraction]):
-        """``values`` maps s to la_s for s in {4, 6, ..., 4g+2}."""
-        expected = set(GenusContext(genus).lambda_indices)
-        if set(values) != expected:
-            raise ValueError(
-                f"parameter indices {sorted(values)} != {sorted(expected)}"
-            )
-        super().__init__(genus, values)
-
-    @classmethod
-    def from_sequence(cls, genus: int, seq) -> "LambdaVector":
-        indices = GenusContext(genus).lambda_indices
-        seq = list(seq)
-        if len(seq) != len(indices):
-            raise ValueError(f"expected {len(indices)} parameters, got {len(seq)}")
-        return cls(genus, {s: Fraction(v) for s, v in zip(indices, seq)})
-
-
-def curve_poly(lv: LambdaVector):
-    """Monic degree-(2g+1) coefficient sequence, leading term first.
+def curve_poly(genus: int, values: Sequence) -> list:
+    """Monic degree-(2g+1) coefficient sequence, leading term first, for the
+    parameters ``values``, la_4, la_6, ..., la_{4g+2} in index order.
 
     The coefficient of x^(2g+1-m) is la_{2m} for m >= 2 and zero at x^(2g).
     """
-    indices = GenusContext(lv.genus).lambda_indices
-    return [Fraction(1), Fraction(0)] + [Fraction(lv.values[s]) for s in indices]
+    count = len(GenusContext(genus).lambda_indices)
+    if len(values) != count:
+        raise ValueError(f"expected {count} parameters, got {len(values)}")
+    return [Fraction(1), Fraction(0)] + [Fraction(v) for v in values]
 
 
 def _derivative_rows(coeffs) -> list:
@@ -76,9 +58,10 @@ def _disc_sign(coeffs) -> int:
     return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
-def discriminant(lv: LambdaVector) -> Fraction:
-    """The discriminant of the monic curve polynomial at a parameter point."""
-    coeffs = curve_poly(lv)
+def discriminant(genus: int, values: Sequence) -> Fraction:
+    """The discriminant of the monic curve polynomial at a parameter point,
+    ``values`` as for ``curve_poly``."""
+    coeffs = curve_poly(genus, values)
     return _disc_sign(coeffs) * det_exact(_derivative_rows(coeffs))
 
 

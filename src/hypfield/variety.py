@@ -81,43 +81,37 @@ def uniformize_check(table: RelationTable) -> UniformizeReport:
     return UniformizeReport(ctx.g, entries)
 
 
-class PMap(NamedTuple):
-    """The polynomial projection onto the parameter space, one component
-    per curve parameter, each homogeneous in the 3g generators."""
-
-    genus: int
-    components: tuple  # of (s, Poly), s ascending
+def _components(table: RelationTable) -> list:
+    """The parameter map's components, homogeneous in the 3g generators:
+    the table's la_s, s ascending."""
+    return [table.lam[s] for s in sorted(table.lam)]
 
 
-def p_map(table: RelationTable) -> PMap:
-    return PMap(table.genus, tuple((s, table.lam[s]) for s in sorted(table.lam)))
-
-
-def _point_env(pm: PMap, point: Sequence) -> dict:
+def _point_env(genus: int, point: Sequence) -> dict:
     """Generator symbol -> coordinate, in the canonical coordinate order."""
-    syms = generator_symbols(pm.genus)
+    syms = generator_symbols(genus)
     if len(point) != len(syms):
         raise ValueError(f"point must have {len(syms)} coordinates")
     return {sym: Fraction(x) for sym, x in zip(syms, point)}
 
 
-def p_eval(pm: PMap, point: Sequence) -> list:
+def p_eval(table: RelationTable, point: Sequence) -> list:
     """Exact evaluation of the parameter polynomials at a rational point."""
-    return at_point([comp for _, comp in pm.components], _point_env(pm, point))[0]
+    return at_point(_components(table), _point_env(table.genus, point))[0]
 
 
-def p_values_and_rank(pm: PMap, point: Sequence) -> tuple:
+def p_values_and_rank(table: RelationTable, point: Sequence) -> tuple:
     """The parameter values at a rational point and the exact rank of the
     Jacobian there (rows by component, columns by generator), both from one
     pass over the map's terms."""
-    env = _point_env(pm, point)
-    values, rows = at_point([comp for _, comp in pm.components], env, list(env))
+    env = _point_env(table.genus, point)
+    values, rows = at_point(_components(table), env, list(env))
     return values, exactmath.rank_exact(rows)
 
 
-def p_jacobian_rank(pm: PMap, point: Sequence) -> int:
+def p_jacobian_rank(table: RelationTable, point: Sequence) -> int:
     """Exact rank of the Jacobian of the parameter map at a rational point."""
-    return p_values_and_rank(pm, point)[1]
+    return p_values_and_rank(table, point)[1]
 
 
 def random_rational_point(g: int, rng: random.Random) -> list:

@@ -119,9 +119,7 @@ class LatticeContext(_Record):
             disc = g2 ** 3 - 27.0 * g3 ** 2
             vanishing = abs(disc) < 1e-10 * max(abs(g2) ** 3, abs(g3) ** 2, 1e-300)
         except ArithmeticError as exc:  # periods too large or small for floats
-            raise DegenerateLattice(
-                f"periods out of floating-point range: {exc}"
-            ) from exc
+            raise DegenerateLattice("periods out of floating-point range") from exc
         if vanishing:
             raise DegenerateLattice("vanishing discriminant")
         fields = dict(
@@ -381,7 +379,7 @@ class RankReport(NamedTuple):
                 f"forced kernel: {self.forced}; none from "
                 f"{_invariants(self.weight_bound)} lattices"
             )
-        if self.kernel is not None:
+        if self.kernel is not None and not self.full_rank:
             # rounded to the printed places first, and + 0.0 turns -0.0 into
             # 0.0, so a part that is rounding noise prints as +0.000000
             def part(x: float) -> str:

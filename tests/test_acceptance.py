@@ -10,12 +10,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from exprprint import format_expr
-from hypfield.curve import LambdaVector, discriminant, symbolic_discriminant
+from hypfield.curve import discriminant, symbolic_discriminant
 from hypfield.exprlang import parse
 from hypfield.polyring import Poly, homogeneous_weight, la
 from hypfield.relations import GenusContext, bel1, bel2
 from hypfield.rewriter import build_table, reduce_expr
-from hypfield.variety import p_jacobian_rank, p_map, random_rational_point, uniformize_check
+from hypfield.variety import p_jacobian_rank, random_rational_point, uniformize_check
 from hypfield.weierstrass import (
     identity_residuals, independence_experiment, random_lattice, random_sample_point,
 )
@@ -138,15 +138,15 @@ def test_07_independence_proxy():
 def test_08_fibration_ranks():
     ok = True
     for g in (1, 2, 3):
-        pm = p_map(table(g))
+        t = table(g)
         rng = random.Random(100 + g)
         hits = sum(
             1
             for _ in range(10)
-            if p_jacobian_rank(pm, random_rational_point(g, rng)) == 2 * g
+            if p_jacobian_rank(t, random_rational_point(g, rng)) == 2 * g
         )
         ok = ok and hits == 10
-        ok = ok and p_jacobian_rank(pm, [Fraction(0)] * (3 * g)) == g
+        ok = ok and p_jacobian_rank(t, [Fraction(0)] * (3 * g)) == g
     report(8, "fibration ranks", ok)
 
 
@@ -155,7 +155,7 @@ def test_09_discriminant():
     p6 = Poly.symbol(la(6))
     ok = symbolic_discriminant(GenusContext(1)) == -4 * p4 ** 3 - 27 * p6 ** 2
     for g in (1, 2, 3):
-        ok = ok and discriminant(LambdaVector.from_sequence(g, [0] * (2 * g))) == 0
+        ok = ok and discriminant(g, [0] * (2 * g)) == 0
     report(9, "discriminant", ok)
 
 

@@ -77,6 +77,26 @@ def test_traced_table_counts_the_printed_terms(capsys):
     assert tracer.counts["polyring.Poly.mul.term_pairs"] > 0
 
 
+def test_traced_rank_and_disc_count_their_engine_calls(capsys):
+    """rank and disc pass the table and the raw parameter list: the spans
+    wrap the same calls, one rank per sampled point and one at the origin."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [
+            hypfield.cli.main(["rank", "--genus", "2", "--samples", "3", "--seed", "0"]),
+            hypfield.cli.main(["disc", "--genus", "1", "--lambda=-3,2"]),
+        ]
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert codes == [0, 0]
+    assert out.endswith("disc = 0; lambda IN Sigma_g\n")
+    assert tracer.name.count("variety.p_jacobian_rank") == 4
+    assert tracer.name.count("exactmath.rank_exact") == 4
+    assert tracer.name.count("curve.discriminant") == 1
+
+
 FRESH_PROCESS = """
 import contextlib, importlib.util, io, sys
 import hypfield.cli

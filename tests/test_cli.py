@@ -470,6 +470,20 @@ def test_independence_with_control(capsys):
     assert "kernel:" in out
 
 
+def test_full_rank_single_lattice_prints_no_kernel(capsys):
+    code, out, _ = run(
+        capsys, "independence", "--lattices", "1", "--samples", "7", "--weight-bound", "2"
+    )
+    assert code == EXIT_OK
+    assert out == (
+        "mode: single-lattice\n"
+        "columns: 2 (monomials in wp, wp', weight <= 2)\n"
+        "rows: 7\n"
+        "sigma_min/sigma_max: 7.726e-01\n"
+        "verdict: FULL RANK\n"
+    )
+
+
 def test_independence_passes_with_the_kernel_two_lattices_force(capsys):
     code, out, _ = run(capsys, "independence", "--lattices", "2")
     assert code == EXIT_OK
@@ -644,6 +658,13 @@ REDUCER = ["exprlang", "polyring", "relations", "rewriter"]
     (["numeric", "--lattice", "1,0,0,100"], None, EXIT_USAGE, "",
      "hypfield numeric: error: argument --lattice: vanishing discriminant, got '1,0,0,100'\n",
      ["weierstrass"]),
+    # the q-series overflows, or divides by zero: Python's text is not echoed
+    (["numeric", "--lattice", "1e308,0,0,1e308"], None, EXIT_USAGE, "",
+     "hypfield numeric: error: argument --lattice: "
+     "periods out of floating-point range, got '1e308,0,0,1e308'\n", ["weierstrass"]),
+    (["numeric", "--lattice", "1e-320,0,0,1e-320"], None, EXIT_USAGE, "",
+     "hypfield numeric: error: argument --lattice: "
+     "periods out of floating-point range, got '1e-320,0,0,1e-320'\n", ["weierstrass"]),
     (["reduce", "--genus", "1"], "p[1,1]\np[1,\n1/p[1,1]\n", EXIT_USAGE,
      "b1_1\n(1) / (b1_1)\n", "error: unexpected end of input (at position 4)\n", REDUCER),
     (["reduce", "--genus", "1"], "p[1,1]\nla4/0\n1/p[1,1]\n", EXIT_NUMERIC,
@@ -654,8 +675,8 @@ REDUCER = ["exprlang", "polyring", "relations", "rewriter"]
     # the cap is checked before the table is built
     (["rank", "--genus", "2", "--samples", "20000"], None, EXIT_USAGE, "",
      "error: 20000 samples is above the cap of 10000\n", []),
-], ids=["samples-cap", "argparse", "degenerate-lattice", "reduce-syntax", "reduce-zero",
-        "disc-arity", "rank-cap"])
+], ids=["samples-cap", "argparse", "degenerate-lattice", "lattice-overflow",
+        "lattice-underflow", "reduce-syntax", "reduce-zero", "disc-arity", "rank-cap"])
 def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err, ran):
     """A fresh process: the exception classes that map an error to its exit
     code belong to engine modules that may not have run yet, and mapping
@@ -809,9 +830,9 @@ def test_disc_computes_the_discriminant_once(capsys, monkeypatch):
     calls = []
     real = curve.discriminant
 
-    def counting(lv):
-        calls.append(lv)
-        return real(lv)
+    def counting(genus, values):
+        calls.append((genus, values))
+        return real(genus, values)
 
     # the command calls it through curve's namespace, so the patch sees it
     monkeypatch.setattr("hypfield.curve.discriminant", counting)

@@ -11,13 +11,12 @@ import pytest
 
 import hypfield
 from hypfield import _Record
-from hypfield.curve import LambdaVector
 from hypfield.exprlang import Token
 from hypfield.weierstrass import RankReport
 from hypfield.polyring import Poly
 from hypfield.relations import GenusContext, RelationId
 from hypfield.rewriter import BinOp, Const, Lam, Neg, Pow, PSym, RelationTable
-from hypfield.variety import EquationStatus, PMap, UniformizeReport
+from hypfield.variety import EquationStatus, UniformizeReport
 from hypfield.weierstrass import LatticeContext, ResidualReport
 
 BEL1 = RelationId("BEL1", (1,))
@@ -36,12 +35,6 @@ RECORDS = {
     "EquationStatus": (lambda: EquationStatus(BEL1, Poly.zero()), "residual", True),
     "UniformizeReport": (
         lambda: UniformizeReport(1, (EquationStatus(BEL1, Poly.zero()),)), "entries", True
-    ),
-    "PMap": (lambda: PMap(1, ((4, Poly.one()),)), "components", True),
-    "LambdaVector": (
-        lambda: LambdaVector(1, {4: Fraction(1), 6: Fraction(-2)}),
-        "values",
-        False,  # values is a dict
     ),
     "LatticeContext": (lambda: LatticeContext(1.0, 0.25 + 1.1j), "omega1", True),
     "ResidualReport": (
@@ -121,5 +114,3 @@ def test_expression_nodes_compare_by_type():
 def test_constructors_keep_their_checks():
     with pytest.raises(ValueError, match="^genus must be >= 1$"):
         GenusContext(0)
-    with pytest.raises(ValueError, match=r"^parameter indices \[4, 8\] != \[4, 6\]$"):
-        LambdaVector(1, {4: Fraction(1), 8: Fraction(2)})

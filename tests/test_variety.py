@@ -22,7 +22,6 @@ from hypfield.variety import (
     generator_symbols,
     p_eval,
     p_jacobian_rank,
-    p_map,
     random_rational_point,
     uniformize_check,
 )
@@ -43,11 +42,16 @@ def derivative(p, sym):
     return Poly(out)
 
 
-def symbolic_jacobian(pm):
+def components(t):
+    """The parameter map's components: the table's la_s, s ascending."""
+    return [t.lam[s] for s in sorted(t.lam)]
+
+
+def symbolic_jacobian(t):
     """The 2g x 3g Jacobian as polynomials: rows by component, columns by
     generator."""
-    syms = generator_symbols(pm.genus)
-    return [[derivative(comp, sym) for sym in syms] for _, comp in pm.components]
+    syms = generator_symbols(t.genus)
+    return [[derivative(comp, sym) for sym in syms] for comp in components(t)]
 
 
 def termwise(p, env):
@@ -185,20 +189,19 @@ def test_table_and_check_give_only_the_generators_a_field():
 # --- parameter projection ---------------------------------------------------
 
 def test_p_eval_known_points():
-    pm = p_map(table(1))
-    assert p_eval(pm, [1, 0, 0]) == [Fraction(-3), Fraction(2)]
-    assert p_eval(pm, [0, 0, 2]) == [Fraction(1), Fraction(0)]
-    assert p_eval(pm, [0, 0, 0]) == [Fraction(0), Fraction(0)]
+    t = table(1)
+    assert p_eval(t, [1, 0, 0]) == [Fraction(-3), Fraction(2)]
+    assert p_eval(t, [0, 0, 2]) == [Fraction(1), Fraction(0)]
+    assert p_eval(t, [0, 0, 0]) == [Fraction(0), Fraction(0)]
 
 
 def test_p_eval_point_length_checked():
-    pm = p_map(table(1))
-    with pytest.raises(ValueError):
-        p_eval(pm, [1, 2])
+    with pytest.raises(ValueError, match="^point must have 3 coordinates$"):
+        p_eval(table(1), [1, 2])
 
 
 def test_jacobian_shape_and_entries():
-    jac = symbolic_jacobian(p_map(table(1)))
+    jac = symbolic_jacobian(table(1))
     assert len(jac) == 2 and len(jac[0]) == 3
     # d la4 / d b3_1 = 1/2, d la4 / d b2_1 = 0
     assert jac[0][2] == Poly.const(Fraction(1, 2))
@@ -207,27 +210,25 @@ def test_jacobian_shape_and_entries():
 
 def test_jacobian_rank_at_origin_is_genus():
     for g in (1, 2, 3):
-        pm = p_map(table(g))
-        assert p_jacobian_rank(pm, [Fraction(0)] * (3 * g)) == g
+        assert p_jacobian_rank(table(g), [Fraction(0)] * (3 * g)) == g
 
 
 def test_jacobian_rank_generic():
     rng = random.Random(1)
     for g in (1, 2):
-        pm = p_map(table(g))
         for _ in range(5):
             point = random_rational_point(g, rng)
-            assert p_jacobian_rank(pm, point) == 2 * g
+            assert p_jacobian_rank(table(g), point) == 2 * g
 
 
 def test_values_and_rank_match_termwise_evaluation():
     # each entry on its own, in Fraction arithmetic, from the symbolic terms
-    pm = p_map(table(3))
+    t = table(3)
     for point in (random_rational_point(3, random.Random(5)), [Fraction(k, 7) for k in range(-4, 5)]):
         env = dict(zip(generator_symbols(3), point))
-        assert p_eval(pm, point) == [termwise(comp, env) for _, comp in pm.components]
-        entries = [[termwise(e, env) for e in row] for row in symbolic_jacobian(pm)]
-        assert p_jacobian_rank(pm, point) == rank_exact(entries)
+        assert p_eval(t, point) == [termwise(comp, env) for comp in components(t)]
+        entries = [[termwise(e, env) for e in row] for row in symbolic_jacobian(t)]
+        assert p_jacobian_rank(t, point) == rank_exact(entries)
 
 
 # b1_1 = b2_1 = b3_1 = 1, every other generator 0: a genuinely deficient rank
@@ -257,22 +258,22 @@ def assert_positive_multiple(row, want):
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 8])
 def test_jacobian_rows_are_positive_multiples_of_the_symbolic_jacobian(g):
     # the oracle differentiates term by term and evaluates entry by entry
-    pm = p_map(table(g))
+    t = table(g)
     syms = generator_symbols(g)
-    jac = symbolic_jacobian(pm)
-    components = [comp for _, comp in pm.components]
+    jac = symbolic_jacobian(t)
+    comps = components(t)
     for point in oracle_points(g):
         env = dict(zip(syms, map(Fraction, point)))
         oracle = [[termwise(e, env) for e in row] for row in jac]
-        values, rows = at_point(components, env, syms)
-        assert values == [termwise(comp, env) for comp in components]
+        values, rows = at_point(comps, env, syms)
+        assert values == [termwise(comp, env) for comp in comps]
         assert len(rows) == 2 * g
         for row, want in zip(rows, oracle):
             assert all(type(x) is int for x in row)
             assert_positive_multiple(row, want)
-        assert p_jacobian_rank(pm, point) == rank_exact(oracle)
+        assert p_jacobian_rank(t, point) == rank_exact(oracle)
     if g == 8:
-        assert p_jacobian_rank(pm, RANK9_G8) == 9
+        assert p_jacobian_rank(t, RANK9_G8) == 9
 
 
 def sympy_rational(x):
@@ -287,22 +288,22 @@ def fraction(x):
 def test_at_point_matches_sympy(g):
     # independent oracle: sympy builds the map from its terms, differentiates
     # it with Matrix.jacobian and evaluates it by substitution
-    pm = p_map(table(g))
+    t = table(g)
     syms = generator_symbols(g)
     gens = sympy.symbols([sym.name for sym in syms])
     of = dict(zip(syms, gens))
     comps = sympy.Matrix([
         sum(sympy_rational(c) * sympy.Mul(*(of[s] ** e for s, e in m)) for m, c in comp.sorted_terms())
-        for _, comp in pm.components
+        for comp in components(t)
     ])
     jac = comps.jacobian(gens)
     rng = random.Random(100 + g)
     for point in [random_rational_point(g, rng) for _ in range(3)] + [[Fraction(0)] * (3 * g)]:
         subs = dict(zip(gens, map(sympy_rational, point)))
-        values, rows = at_point([comp for _, comp in pm.components], dict(zip(syms, point)), syms)
+        values, rows = at_point(components(t), dict(zip(syms, point)), syms)
         assert values == [fraction(v) for v in comps.subs(subs)]
         want = jac.subs(subs)
-        assert p_jacobian_rank(pm, point) == want.rank()
+        assert p_jacobian_rank(t, point) == want.rank()
         for k, row in enumerate(rows):
             assert_positive_multiple(row, [fraction(x) for x in want.row(k)])
 
