@@ -216,7 +216,10 @@ def _check_samples(samples: int) -> None:
 def cmd_table(args) -> int:
     table = rewriter.build_table(relations.GenusContext(args.genus))
     if args.format == "tree":
-        sys.stdout.writelines(table.tree_lines())
+        import json  # only table --format tree needs it
+
+        sys.stdout.writelines(json.JSONEncoder(indent=2, default=str).iterencode(table.tree()))
+        sys.stdout.write("\n")
     else:
         sys.stdout.writelines(table.lines())
     return EXIT_OK
@@ -241,17 +244,15 @@ def cmd_reduce(args) -> int:
     ctx = relations.GenusContext(args.genus)
     table = rewriter.build_table(ctx)
     if args.expression is not None:
-        _reduce_one(ctx, table, args.expression)
-        return EXIT_OK
+        texts = [args.expression]
+    else:
+        texts = filter(None, map(str.strip, sys.stdin))
     # a bad line is reported and the batch goes on; the first failure's
     # exit code is the batch's
     status = EXIT_OK
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
+    for text in texts:
         try:
-            _reduce_one(ctx, table, line)
+            _reduce_one(ctx, table, text)
         except Exception as exc:
             code = _report(exc)
             status = status or code

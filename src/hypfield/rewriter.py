@@ -25,7 +25,8 @@ from typing import Mapping, NamedTuple, Union
 from . import _Record
 from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
 from .relations import (
-    GenusContext, RelationId, bel1_products, bel2_products, l1_products, two_index,
+    GenusContext, IndexOutOfRange, RelationId, bel1_products, bel2_products, l1_products,
+    two_index,
 )
 
 
@@ -101,31 +102,17 @@ class RelationTable(NamedTuple):
         for k, l in sorted(self.w):
             yield f"w_{k}_{l} = {self.w[(k, l)]}\n"
 
-    def tree_lines(self):
-        """The JSON form one newline-ended line at a time, the text of
-        ``json.dumps(tree, indent=2)`` and a newline, so a writer holds one
-        entry; each key and value passes ``json.dumps``."""
-        import json  # only table --format tree needs it
-
-        sections = (
-            ("lambda", self.lam, str),
-            ("w", self.w, lambda kl: f"{kl[0]},{kl[1]}"),
-            ("provenance", self.provenance, str),
-        )
-        yield "{\n"
-        yield f'  "genus": {json.dumps(self.genus)},\n'
-        for n, (name, entries, label) in enumerate(sections, 1):
-            after = "," if n < len(sections) else ""
-            keys = sorted(entries)
-            if not keys:
-                yield f"  {json.dumps(name)}: {{}}{after}\n"
-                continue
-            yield f"  {json.dumps(name)}: {{\n"
-            for i, key in enumerate(keys, 1):
-                comma = "," if i < len(keys) else ""
-                yield f"    {json.dumps(label(key))}: {json.dumps(str(entries[key]))}{comma}\n"
-            yield f"  }}{after}\n"
-        yield "}\n"
+    def tree(self) -> dict:
+        """The JSON form: genus, then the la entries keyed by index, the w
+        entries keyed by "k,l" and the provenance, each sorted; the values
+        are the Poly entries themselves, so an encoder given ``default=str``
+        prints each one only when it reaches it."""
+        return {
+            "genus": self.genus,
+            "lambda": {str(s): self.lam[s] for s in sorted(self.lam)},
+            "w": {f"{k},{l}": self.w[(k, l)] for k, l in sorted(self.w)},
+            "provenance": {name: self.provenance[name] for name in sorted(self.provenance)},
+        }
 
 
 def _solve(products: list, target: Symbol, env: dict, label: str) -> Poly:
@@ -208,6 +195,9 @@ def build_table(ctx: GenusContext) -> RelationTable:
 # reduction of expressions into the fraction field of the generators
 
 def _resolve_psym(ctx: GenusContext, table: RelationTable, indices: tuple) -> Poly:
+    for k in indices:
+        if k < 1 or k % 2 == 0:
+            raise IndexOutOfRange(f"p index {k} must be odd and positive")
     idx = tuple(sorted(indices))
     n = len(idx)
     if n == 2:
@@ -250,7 +240,9 @@ def reduce_expr(table: RelationTable, e: Expr):
             return Poly.const(node.value), Poly.one()
         if isinstance(node, Lam):
             if node.s not in table.lam:
-                raise UnsupportedSymbol(f"la{node.s} outside 4..{ctx.lambda_indices[-1]}")
+                raise IndexOutOfRange(
+                    f"la index {node.s} outside the even range 4..{ctx.lambda_indices[-1]}"
+                )
             return table.lam[node.s], Poly.one()
         if isinstance(node, PSym):
             return _resolve_psym(ctx, table, node.indices), Poly.one()

@@ -94,6 +94,16 @@ def test_reduce_syntax_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "error: empty expression (at position 0)\n"),
+    ("  p[1,1] @", "error: unexpected character '@' (at position 9)\n"),
+])
+def test_reduce_argument_is_not_stripped(capsys, text, message):
+    # unlike a stdin line, the argument reaches the parser as given: an empty
+    # one is an error and positions count its leading blanks
+    assert run(capsys, "reduce", "--genus", "1", text) == (EXIT_USAGE, "", message)
+
+
 def test_reduce_unsupported_symbol(capsys):
     code, _, err = run(capsys, "reduce", "--genus", "2", "p[3,3,3]")
     assert code == EXIT_USAGE

@@ -9,8 +9,11 @@ reference again, and the engine substitutes only while it sums), and of
 ``table --genus 32``, captured while every order key spanned one field per
 symbol registered in the process (656 at g = 32), and of ``verify --genus``
 16 and 32, captured while every residual was built as a polynomial in the
-``la`` and ``w`` symbols and then substituted.  Any change to the
-polynomial core must keep every byte of these outputs.
+``la`` and ``w`` symbols and then substituted.  The ``table --format tree``
+digests at g = 1, 2, 3, 4 and 8 were captured while that JSON was still
+written line by line by hand, one ``json.dumps`` per key and per value,
+before the standard library's streaming encoder took it over.  Any change
+to the polynomial core must keep every byte of these outputs.
 
 ``SYMBOLIC_DISC_G3`` is the SHA-256 of ``str(symbolic_discriminant(
 GenusContext(3))) + "\n"``, captured while the discriminant was still the
@@ -69,6 +72,11 @@ GOLDEN = {
     ("table", 32): "24ec0ef9e90acd7ffc71ba2fdc0fef8eb40f00dc1c5c868017366bb6ea374809",
     ("verify", 16): "7437d6f7ac6d88ca816a1a5bc7417f367c0e26e86da80ec3448aea398b5de2e4",
     ("verify", 32): "632e621a9d689d6d9b47b026a71d5b9465d0242af3f7f7e8985a4a97d34f5b4f",
+    ("table --format tree", 1): "ced94bd14f46d71c87269a8e6ca320cd596ad084088d8abda96e2648a20ab012",
+    ("table --format tree", 2): "811eb9ed8254f729416f3fcf815645e2bc9dd5853e548e4bb329dc493ceac082",
+    ("table --format tree", 3): "9caada4cfdf82bf2ea3b64aa5bd0c660e0e40b7068f7f7d0e153ad417be941b0",
+    ("table --format tree", 4): "c9a640ce629b50b431cd54cdaba2ee22d2126fd69243bccd812ec78f26e49bb8",
+    ("table --format tree", 8): "60cbe3c5b9784d9209aa9d6ead39a6344d4d8abcf08be6d014f77407f9660c60",
 }
 
 SYMBOLIC_DISC_G3 = "7b24fb2f6b1387e9695bd04dbba589b2884f2a18bab5ca507864dabfba55b213"
@@ -118,7 +126,7 @@ REDUCE = {
 
 @pytest.mark.parametrize("command,genus", sorted(GOLDEN, key=lambda k: (k[1], k[0])))
 def test_output_digest(capsys, command, genus):
-    code = main([command, "--genus", str(genus)])
+    code = main([*command.split(), "--genus", str(genus)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, genus]

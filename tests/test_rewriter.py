@@ -8,8 +8,9 @@ from functools import lru_cache
 import pytest
 
 from hypfield import rewriter
+from hypfield.cli import EXIT_OK, main
 from hypfield.polyring import Poly, b1, b2, b3, homogeneous_weight, la, w
-from hypfield.relations import GenusContext, RelationId, bel2_products
+from hypfield.relations import GenusContext, IndexOutOfRange, RelationId, bel2_products
 from hypfield.rewriter import (
     BinOp,
     Const,
@@ -75,7 +76,7 @@ def test_provenance_labels():
 
 def test_tree_serialization():
     t = table(2)
-    data = json.loads("".join(t.tree_lines()))
+    data = json.loads(json.dumps(t.tree(), default=str))
     assert set(data) == {"genus", "lambda", "w", "provenance"}
     assert data["genus"] == 2
     assert data["lambda"]["4"] == str(t.lam[4])
@@ -83,8 +84,8 @@ def test_tree_serialization():
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_tree_lines_are_the_indented_json_dump(g):
-    # one newline-ended line per entry, together json.dumps's text; at g = 1
+def test_tree_is_the_indented_json_dump(capsys, g):
+    # the streamed text is json.dumps's over the entries' strings; at g = 1
     # the w section is empty and prints as {}
     t = table(g)
     tree = {
@@ -93,9 +94,28 @@ def test_tree_lines_are_the_indented_json_dump(g):
         "w": {f"{k},{l}": str(t.w[(k, l)]) for k, l in sorted(t.w)},
         "provenance": {name: t.provenance[name] for name in sorted(t.provenance)},
     }
-    lines = list(t.tree_lines())
-    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-    assert "".join(lines) == json.dumps(tree, indent=2) + "\n"
+    assert main(["table", "--genus", str(g), "--format", "tree"]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(tree, indent=2) + "\n"
+
+
+def test_tree_prints_each_entry_when_the_encoder_reaches_it(monkeypatch):
+    # a writer of iterencode's chunks holds one entry's text at a time: when
+    # la_4's value comes out, la_4 is the only polynomial printed so far
+    t = table(3)
+    printed = []
+    poly_str = Poly.__str__
+
+    def counting_str(self):
+        printed.append(self)
+        return poly_str(self)
+
+    monkeypatch.setattr(Poly, "__str__", counting_str)
+    for chunk in json.JSONEncoder(indent=2, default=str).iterencode(t.tree()):
+        if chunk == json.dumps(poly_str(t.lam[4])):
+            break
+    else:
+        pytest.fail("la_4's value was never emitted")
+    assert printed == [t.lam[4]]
 
 
 def test_text_serialization_deterministic():
@@ -249,8 +269,16 @@ def test_reduce_unsupported_symbols():
         reduce_expr(table(2), PSym((3, 3, 3)))
     with pytest.raises(UnsupportedSymbol):
         reduce_expr(table(2), PSym((1, 3, 3)))
-    with pytest.raises(UnsupportedSymbol):
+
+
+def test_reduce_index_out_of_range():
+    # the parser refuses these first; a hand-built expression gets its wording
+    with pytest.raises(IndexOutOfRange, match=r"^la index 20 outside the even range 4\.\.10$"):
         reduce_expr(table(2), Lam(20))
+    with pytest.raises(IndexOutOfRange, match=r"^la index 8 outside the even range 4\.\.6$"):
+        reduce_expr(table(1), Lam(8))
+    with pytest.raises(IndexOutOfRange, match=r"^p index 2 must be odd and positive$"):
+        reduce_expr(table(2), PSym((1, 1, 2)))
 
 
 def test_reduce_division_and_powers():
