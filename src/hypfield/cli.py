@@ -62,7 +62,7 @@ _EXITS = {
     "hypfield.rewriter.InternalInconsistency": (EXIT_VERIFY, "{}"),
     # the parser and the reducer recurse once per nesting level
     "builtins.RecursionError": (EXIT_USAGE, "expression nested too deeply"),
-    "hypfield.rewriter.UnsupportedSymbol": (EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
+    "hypfield.relations.UnsupportedSymbol": (EXIT_USAGE, "{}\nhint: " + _OUT_OF_SCOPE),
     "builtins.ValueError": (EXIT_USAGE, "{}"),
 }
 
@@ -149,15 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="derive and print the relation table")
+    p_table.set_defaults(run=cmd_table)
     p_table.add_argument("--genus", type=_positive_integer, required=True)
     p_table.add_argument("--format", choices=("text", "tree"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the uniformization checks")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--genus", type=_positive_integer, required=True)
 
     p_reduce = sub.add_parser(
         "reduce", help="rewrite expressions into the generator fraction field"
     )
+    p_reduce.set_defaults(run=cmd_reduce)
     p_reduce.add_argument("--genus", type=_positive_integer, required=True)
     p_reduce.add_argument(
         "expression",
@@ -166,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_rank = sub.add_parser("rank", help="exact Jacobian ranks of the parameter map")
+    p_rank.set_defaults(run=cmd_rank)
     p_rank.add_argument("--genus", type=_positive_integer, required=True)
     p_rank.add_argument("--samples", type=_positive_integer, default=10)
     p_rank.add_argument("--seed", type=_integer, default=0)
@@ -175,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_disc = sub.add_parser("disc", help="curve discriminant and Sigma_g membership")
+    p_disc.set_defaults(run=cmd_disc)
     p_disc.add_argument("--genus", type=_positive_integer, required=True)
     p_disc.add_argument(
         "--lambda", dest="lambda_values", type=_rationals, required=True,
@@ -182,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_num = sub.add_parser("numeric", help="genus-1 numeric identity validation")
+    p_num.set_defaults(run=cmd_numeric)
     p_num.add_argument("--samples", type=_positive_integer, default=20)
     p_num.add_argument("--seed", type=_integer, default=0)
     p_num.add_argument(
@@ -196,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ind = sub.add_parser(
         "independence", help="monomial-matrix rank experiment"
     )
+    p_ind.set_defaults(run=cmd_independence)
     p_ind.add_argument("--lattices", type=_integer, default=6)
     p_ind.add_argument("--samples", type=_positive_integer, default=40)
     p_ind.add_argument("--weight-bound", type=_integer, default=8)
@@ -328,21 +335,10 @@ def cmd_independence(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-_DISPATCH = {
-    "table": cmd_table,
-    "verify": cmd_verify,
-    "reduce": cmd_reduce,
-    "rank": cmd_rank,
-    "disc": cmd_disc,
-    "numeric": cmd_numeric,
-    "independence": cmd_independence,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except Exception as exc:
         return _report(exc)
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .relations import GenusContext
+from .relations import GenusContext, IndexOutOfRange, check_la, p_indices
 from .rewriter import BinOp, Const, Expr, Lam, Neg, Pow, PSym
 
 
@@ -36,6 +36,14 @@ class ExpressionSyntaxError(_PositionedError):
 
 class ExpressionIndexError(_PositionedError):
     pass
+
+
+def _checked(check, position: int, *args):
+    """``check(*args)``, whose IndexOutOfRange is reported at ``position``."""
+    try:
+        check(*args)
+    except IndexOutOfRange as exc:
+        raise ExpressionIndexError(str(exc), position) from exc
 
 
 class Token(NamedTuple):
@@ -144,26 +152,14 @@ class _Parser:
                 self.next()
                 indices.append(self.parse_int())
             self.expect_op("]")
-            if len(indices) < 2:
-                raise ExpressionIndexError(
-                    "p needs at least two indices", tok.pos
-                )
-            for k in indices:
-                if k < 1 or k % 2 == 0:
-                    raise ExpressionIndexError(
-                        f"p index {k} must be odd and positive", tok.pos
-                    )
+            _checked(p_indices, tok.pos, indices)
             return PSym(tuple(indices))
         if tok.kind == "name" and tok.text == "la":
             s_tok = self.next()
             if s_tok.kind != "int":
                 raise ExpressionSyntaxError("la must be followed by an index", tok.pos)
             s = int(s_tok.text)
-            indices = self.ctx.lambda_indices
-            if s not in indices:
-                raise ExpressionIndexError(
-                    f"la index {s} outside the even range 4..{indices[-1]}", s_tok.pos
-                )
+            _checked(check_la, s_tok.pos, self.ctx, s)
             return Lam(s)
         raise ExpressionSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 

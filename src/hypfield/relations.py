@@ -2,9 +2,10 @@
 
 Every relation is represented as a left-minus-right residual, so "reduces
 to zero" is the single verification predicate used everywhere downstream.
-The two-index cutoff and the Kronecker-delta bookkeeping live here:
-``two_index`` gives the relation products and the reducer's ``p[k,l]``
-atoms the symbol at (k, l), or None once an index reaches 2g+1.  A BEL1 or
+Each atom rule and the Kronecker-delta bookkeeping live here once:
+``p_symbol`` gives the relation products and the reducer's ``p`` atoms
+their symbol, or None once an index reaches 2g+1, and the parser and the
+reducer check indices by ``p_indices`` and ``check_la``.  A BEL1 or
 BEL2 residual, and each xi-coefficient of the L1 series, is a list of
 ``(int coefficient, symbol, ...)`` products; ``bel1`` and ``bel2`` sum
 theirs by one ``Poly.sum_of_products`` call, with an optional substitution
@@ -18,7 +19,6 @@ from it, and the derivation does not use it.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 from . import _Record, polyring
@@ -26,6 +26,10 @@ from . import _Record, polyring
 
 class IndexOutOfRange(ValueError):
     pass
+
+
+class UnsupportedSymbol(ValueError):
+    """Expression uses a multi-index function outside the supported closure."""
 
 
 class GenusContext(_Record):
@@ -63,16 +67,41 @@ def _check_odd_index(ctx: GenusContext, i: int):
         raise IndexOutOfRange(f"index {i} not odd in 1..{ctx.odd_indices[-1]}")
 
 
-def two_index(ctx: GenusContext, k: int, l: int):
-    """The symbol of the two-index function at (k, l), or None where the
-    cutoff makes it vanish: either index at 2g+1 or above.  The b1 generator
-    when the smaller index is 1, the canonical w symbol otherwise."""
-    if k < 1 or l < 1 or k % 2 == 0 or l % 2 == 0:
-        raise IndexOutOfRange(f"two-index arguments must be odd positive, got ({k},{l})")
-    if k >= 2 * ctx.g + 1 or l >= 2 * ctx.g + 1:
+def p_indices(indices) -> tuple:
+    """The sorted indices of a ``p`` atom: at least two, each odd and positive."""
+    if len(indices) < 2:
+        raise IndexOutOfRange("p needs at least two indices")
+    for k in indices:
+        if k < 1 or k % 2 == 0:
+            raise IndexOutOfRange(f"p index {k} must be odd and positive")
+    return tuple(sorted(indices))
+
+
+def p_symbol(ctx: GenusContext, indices):
+    """The symbol of the atom ``p[indices]``, or None where the cutoff makes
+    it vanish: its largest index at 2g+1 or above.  For two indices the b1
+    generator when the smaller is 1, the canonical w symbol otherwise; for
+    ``p[1,1,k]`` and ``p[1,1,1,k]`` the b2 and b3 generators at k."""
+    idx = p_indices(indices)
+    n, top = len(idx), idx[-1]
+    # sorted and positive, so idx[-2] == 1 puts 1 at every index but the last
+    if n > 2 and (n > 4 or idx[-2] != 1):
+        raise UnsupportedSymbol(
+            f"p[{','.join(str(i) for i in indices)}] is outside the supported closure "
+            "(only two-index symbols and the 1-, 1,1-, 1,1,1-prefixed generators)"
+        )
+    if top >= 2 * ctx.g + 1:
         return None
-    a, c = min(k, l), max(k, l)
-    return polyring.b1(c) if a == 1 else polyring.w(a, c)
+    if n == 2:
+        return polyring.b1(top) if idx[0] == 1 else polyring.w(idx[0], top)
+    return (polyring.b2 if n == 3 else polyring.b3)(top)
+
+
+def check_la(ctx: GenusContext, s: int):
+    """Refuse a parameter index ``la S`` outside the even range 4..4g+2."""
+    indices = ctx.lambda_indices
+    if s not in indices:
+        raise IndexOutOfRange(f"la index {s} outside the even range 4..{indices[-1]}")
 
 
 def _cut(products: list) -> list:
@@ -85,12 +114,11 @@ def bel1_products(ctx: GenusContext, i: int) -> list:
     """The first relation family at odd index i as ``(c, symbol, ...)``
     products."""
     _check_odd_index(ctx, i)
-    pp = partial(two_index, ctx)
     products = [
         (1, polyring.b3(i)),
         (-6, polyring.b1(1), polyring.b1(i)),
-        (2, pp(3, i)),
-        (-6, pp(1, i + 2)),
+        (2, p_symbol(ctx, (3, i))),
+        (-6, p_symbol(ctx, (1, i + 2))),
     ]
     if i == 1:
         products.append((-2, polyring.la(4)))
@@ -102,18 +130,17 @@ def bel2_products(ctx: GenusContext, i: int, j: int) -> list:
     right-hand side, as ``(c, symbol, ...)`` products."""
     _check_odd_index(ctx, i)
     _check_odd_index(ctx, j)
-    pp = partial(two_index, ctx)
     b1i, b1j = polyring.b1(i), polyring.b1(j)
     products = [
         (1, polyring.b2(i), polyring.b2(j)),
         (-4, polyring.b1(1), b1i, b1j),
-        (-4, pp(1, i + 2), b1j),
-        (-4, b1i, pp(1, j + 2)),
-        (2, pp(3, i), b1j),
-        (2, b1i, pp(3, j)),
-        (2, pp(i + 4, j)),
-        (-4, pp(i + 2, j + 2)),
-        (2, pp(i, j + 4)),
+        (-4, p_symbol(ctx, (1, i + 2)), b1j),
+        (-4, b1i, p_symbol(ctx, (1, j + 2))),
+        (2, p_symbol(ctx, (3, i)), b1j),
+        (2, b1i, p_symbol(ctx, (3, j))),
+        (2, p_symbol(ctx, (i + 4, j))),
+        (-4, p_symbol(ctx, (i + 2, j + 2))),
+        (2, p_symbol(ctx, (i, j + 4))),
     ]
     if i == 1:
         products.append((-2, polyring.la(4), b1j))

@@ -23,10 +23,9 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
 from . import _Record
-from .polyring import Poly, Symbol, b2, b3, homogeneous_weight, la, strip_common_monomial, w
+from .polyring import Poly, Symbol, homogeneous_weight, la, strip_common_monomial, w
 from .relations import (
-    GenusContext, IndexOutOfRange, RelationId, bel1_products, bel2_products, l1_products,
-    two_index,
+    GenusContext, RelationId, bel1_products, bel2_products, check_la, l1_products, p_symbol,
 )
 
 
@@ -36,10 +35,6 @@ class InternalInconsistency(RuntimeError):
 
 class UnresolvedSymbol(InternalInconsistency):
     """An extraction cannot solve for its target."""
-
-
-class UnsupportedSymbol(ValueError):
-    """Expression uses a multi-index function outside the supported closure."""
 
 
 class DivisionByZeroPoly(ZeroDivisionError):
@@ -194,27 +189,6 @@ def build_table(ctx: GenusContext) -> RelationTable:
 # ---------------------------------------------------------------------------
 # reduction of expressions into the fraction field of the generators
 
-def _resolve_psym(ctx: GenusContext, table: RelationTable, indices: tuple) -> Poly:
-    for k in indices:
-        if k < 1 or k % 2 == 0:
-            raise IndexOutOfRange(f"p index {k} must be odd and positive")
-    idx = tuple(sorted(indices))
-    n = len(idx)
-    if n == 2:
-        sym = two_index(ctx, *idx)
-        if sym is None:
-            return Poly.zero()
-        return table.w[sym.indices] if sym.kind == "w" else Poly.symbol(sym)
-    if n in (3, 4) and idx[:-1] == (1,) * (n - 1):
-        if idx[-1] >= 2 * ctx.g + 1:
-            return Poly.zero()
-        return Poly.symbol((b2 if n == 3 else b3)(idx[-1]))
-    raise UnsupportedSymbol(
-        f"p[{','.join(str(i) for i in indices)}] is outside the supported closure "
-        "(only two-index symbols and the 1-, 1,1-, 1,1,1-prefixed generators)"
-    )
-
-
 def normalize_fraction(num: Poly, den: Poly):
     """Canonical form: no common monomial factor, monic denominator."""
     if den.is_zero():
@@ -239,13 +213,13 @@ def reduce_expr(table: RelationTable, e: Expr):
         if isinstance(node, Const):
             return Poly.const(node.value), Poly.one()
         if isinstance(node, Lam):
-            if node.s not in table.lam:
-                raise IndexOutOfRange(
-                    f"la index {node.s} outside the even range 4..{ctx.lambda_indices[-1]}"
-                )
+            check_la(ctx, node.s)
             return table.lam[node.s], Poly.one()
         if isinstance(node, PSym):
-            return _resolve_psym(ctx, table, node.indices), Poly.one()
+            sym = p_symbol(ctx, node.indices)
+            if sym is None:
+                return Poly.zero(), Poly.one()
+            return (table.w[sym.indices] if sym.kind == "w" else Poly.symbol(sym)), Poly.one()
         if isinstance(node, Neg):
             n, d = go(node.arg)
             return -n, d
@@ -257,6 +231,8 @@ def reduce_expr(table: RelationTable, e: Expr):
                 k = -k
                 if n.is_zero() or d.is_zero():
                     raise DivisionByZeroPoly("negative power of zero")
+            elif k == 0:
+                normalize_fraction(n, d)  # refuses a zero d, which d ** 0 would hide
             return n ** k, d ** k
         if isinstance(node, BinOp):
             # the parser builds a + b + c as a left-deep chain: walk its left

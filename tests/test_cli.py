@@ -679,6 +679,10 @@ REDUCER = ["exprlang", "polyring", "relations", "rewriter"]
      "b1_1\n(1) / (b1_1)\n", "error: unexpected end of input (at position 4)\n", REDUCER),
     (["reduce", "--genus", "1"], "p[1,1]\nla4/0\n1/p[1,1]\n", EXIT_NUMERIC,
      "b1_1\n(1) / (b1_1)\n", "error: denominator reduced to the zero polynomial\n", REDUCER),
+    # ^0 of a zero denominator is refused as the quotient is; 0^-1 keeps its own text
+    (["reduce", "--genus", "1"], "(1/0)^0\n(1/(p[1,1]-p[1,1]))^0\n0^-1\n2^0\n", EXIT_NUMERIC,
+     "1\n", "error: denominator reduced to the zero polynomial\n" * 2
+     + "error: negative power of zero\n", REDUCER),
     # as many modules as disc's success path runs
     (["disc", "--genus", "2", "--lambda", "1,2,3"], None, EXIT_USAGE, "",
      "error: expected 4 parameters, got 3\n", ["curve", "exactmath", "relations"]),
@@ -686,7 +690,8 @@ REDUCER = ["exprlang", "polyring", "relations", "rewriter"]
     (["rank", "--genus", "2", "--samples", "20000"], None, EXIT_USAGE, "",
      "error: 20000 samples is above the cap of 10000\n", []),
 ], ids=["samples-cap", "argparse", "degenerate-lattice", "lattice-overflow",
-        "lattice-underflow", "reduce-syntax", "reduce-zero", "disc-arity", "rank-cap"])
+        "lattice-underflow", "reduce-syntax", "reduce-zero", "reduce-zero-power", "disc-arity",
+        "rank-cap"])
 def test_error_paths_before_any_engine_module_ran(argv, stdin, code, out, err, ran):
     """A fresh process: the exception classes that map an error to its exit
     code belong to engine modules that may not have run yet, and mapping
@@ -719,7 +724,7 @@ EXIT_ROWS = {
     "hypfield.rewriter.DivisionByZeroPoly": (["reduce", "--genus", "1", "1/(la4-la4)"], "", False),
     "hypfield.rewriter.InternalInconsistency": (["verify", "--genus", "2"], "", True),
     "builtins.RecursionError": (["reduce", "--genus", "1"], DEEP["parentheses"], False),
-    "hypfield.rewriter.UnsupportedSymbol": (["reduce", "--genus", "2", "p[3,3,3]"], "", False),
+    "hypfield.relations.UnsupportedSymbol": (["reduce", "--genus", "2", "p[3,3,3]"], "", False),
     "builtins.ValueError": (["rank", "--genus", "2", "--samples", "20000"], "", False),
 }
 

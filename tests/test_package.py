@@ -202,6 +202,27 @@ def test_every_public_engine_name_has_a_caller():
     assert not orphans, "no caller in the package: " + ", ".join(orphans)
 
 
+def test_atom_errors_are_raised_only_in_relations():
+    """``IndexOutOfRange`` and ``UnsupportedSymbol`` are constructed only in
+    ``relations``, where each atom rule is written once: a module that
+    restates an index check, or its message, fails here.  A call by bare
+    name and one through an attribute (``relations.IndexOutOfRange(...)``)
+    both count."""
+    package = Path(hypfield.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "relations.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("IndexOutOfRange", "UnsupportedSymbol"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, "constructed outside relations: " + ", ".join(found)
+
+
 def test_no_unused_imports():
     """Every name an import binds in the package or in the tests is read in
     that module.  ``from __future__`` imports are exempt, and so is an import

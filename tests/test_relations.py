@@ -17,7 +17,7 @@ from hypfield.relations import (
     generator_series,
     l1_products,
     l1_rhs,
-    two_index,
+    p_symbol,
 )
 
 
@@ -56,26 +56,26 @@ def test_relation_id_text():
 
 def test_two_index_naming_and_cutoff():
     ctx = GenusContext(2)
-    assert two_index(ctx, 1, 3) == b1(3)
-    assert two_index(ctx, 3, 1) == b1(3)
-    assert two_index(ctx, 3, 3) == w(3, 3)
-    assert two_index(ctx, 5, 3) is None  # index at 2g+1 cuts to zero
-    assert two_index(ctx, 1, 7) is None
-    assert two_index(ctx, 1, 1) == b1(1)
+    assert p_symbol(ctx, (1, 3)) == b1(3)
+    assert p_symbol(ctx, (3, 1)) == b1(3)
+    assert p_symbol(ctx, (3, 3)) == w(3, 3)
+    assert p_symbol(ctx, (5, 3)) is None  # index at 2g+1 cuts to zero
+    assert p_symbol(ctx, (1, 7)) is None
+    assert p_symbol(ctx, (1, 1)) == b1(1)
 
 
 def test_two_index_symmetric():
     ctx = GenusContext(4)
     for k in (1, 3, 5, 7):
         for l in (1, 3, 5, 7):
-            assert two_index(ctx, k, l) == two_index(ctx, l, k)
+            assert p_symbol(ctx, (k, l)) == p_symbol(ctx, (l, k))
 
 
 def test_two_index_rejects_even_or_nonpositive():
     ctx = GenusContext(2)
     for bad in ((2, 3), (1, 0), (-1, 3)):
         with pytest.raises(IndexOutOfRange):
-            two_index(ctx, *bad)
+            p_symbol(ctx, bad)
 
 
 # --- first family -----------------------------------------------------------

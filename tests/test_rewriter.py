@@ -1,5 +1,6 @@
 """Derivation pipeline and expression reduction."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,8 +10,16 @@ import pytest
 
 from hypfield import rewriter
 from hypfield.cli import EXIT_OK, main
-from hypfield.polyring import Poly, b1, b2, b3, homogeneous_weight, la, w
-from hypfield.relations import GenusContext, IndexOutOfRange, RelationId, bel2_products
+from hypfield.exprlang import ExpressionIndexError, parse
+from hypfield.polyring import Poly, Symbol, b1, b2, b3, homogeneous_weight, la, w
+from hypfield.relations import (
+    GenusContext,
+    IndexOutOfRange,
+    RelationId,
+    UnsupportedSymbol,
+    bel1_products,
+    bel2_products,
+)
 from hypfield.rewriter import (
     BinOp,
     Const,
@@ -20,7 +29,6 @@ from hypfield.rewriter import (
     Pow,
     PSym,
     UnresolvedSymbol,
-    UnsupportedSymbol,
     build_table,
     derive_lambda,
     format_fraction,
@@ -279,6 +287,82 @@ def test_reduce_index_out_of_range():
         reduce_expr(table(1), Lam(8))
     with pytest.raises(IndexOutOfRange, match=r"^p index 2 must be odd and positive$"):
         reduce_expr(table(2), PSym((1, 1, 2)))
+    with pytest.raises(IndexOutOfRange, match=r"^p needs at least two indices$"):
+        reduce_expr(table(2), PSym((3,)))
+    with pytest.raises(IndexOutOfRange, match=r"^p needs at least two indices$"):
+        reduce_expr(table(2), PSym(()))
+
+
+# --- one atom rule for the parser, the reducer and the relation builders ----
+# The oracle restates README's grammar paragraph: p[i,j,...] takes two or more
+# odd positive indices; p[k,l] is a two-index function (the b1 generator when
+# an index is 1), p[1,1,k] and p[1,1,1,k] are the b2 and b3 generators, each
+# zero once an index reaches 2g+1; other atoms are outside the closure; laS
+# takes even S in 4..4g+2.
+
+INDEX, UNSUPPORTED = "index", "unsupported"
+
+
+def oracle(g, node):
+    """INDEX, UNSUPPORTED, None for a zero atom, or the atom's symbol."""
+    if isinstance(node, Lam):
+        return Symbol("la", (node.s,)) if node.s % 2 == 0 and 4 <= node.s <= 4 * g + 2 else INDEX
+    idx = sorted(node.indices)
+    if len(idx) < 2 or any(k < 1 or k % 2 == 0 for k in idx):
+        return INDEX
+    if len(idx) == 2:
+        kind, at = ("b1", (idx[1],)) if idx[0] == 1 else ("w", tuple(idx))
+    elif idx[:-1] in ([1, 1], [1, 1, 1]):
+        kind, at = ("b2" if len(idx) == 3 else "b3"), (idx[-1],)
+    else:
+        return UNSUPPORTED
+    return None if idx[-1] >= 2 * g + 1 else Symbol(kind, at)
+
+
+def entry(t, sym):
+    """The table entry of a la or w symbol, or the generator itself."""
+    if sym.kind == "la":
+        return t.lam[sym.indices[0]]
+    return t.w[sym.indices] if sym.kind == "w" else Poly.symbol(sym)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ExpressionIndexError, IndexOutOfRange, UnsupportedSymbol) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_parser_reducer_and_relations_agree_on_every_atom(g):
+    t = table(g)
+    ctx = GenusContext(g)
+    tuples = (i for n in range(1, 5) for i in itertools.product(range(2 * g + 4), repeat=n))
+    atoms = [(f"p[{','.join(map(str, i))}]", PSym(i)) for i in tuples]
+    atoms += [(f"la{s}", Lam(s)) for s in range(4 * g + 6)]
+    for text, node in atoms:
+        want = oracle(g, node)
+        parsed, reduced = outcome(parse, text, ctx), outcome(reduce_expr, t, node)
+        if want == INDEX:
+            assert isinstance(parsed, ExpressionIndexError), text
+            assert isinstance(reduced, IndexOutOfRange), text
+            assert str(parsed) == f"{reduced} (at position {parsed.position})", text
+            continue
+        assert parsed == node, text
+        if want == UNSUPPORTED:
+            assert isinstance(reduced, UnsupportedSymbol), text
+        elif want is None:
+            assert reduced == (Poly.zero(), Poly.one()), text
+        else:
+            assert reduced == (entry(t, want), Poly.one()), text
+    # every two-index symbol the relation products use is the oracle's name
+    # of an index pair, and every nonzero name is used
+    odd = range(1, 2 * g + 4, 2)
+    named = {oracle(g, PSym((k, l))) for k in odd for l in odd} - {None}
+    products = [p for i in ctx.odd_indices for p in bel1_products(ctx, i)]
+    for i, j in itertools.product(ctx.odd_indices, repeat=2):
+        products += bel2_products(ctx, i, j)
+    assert {s for p in products for s in p[1:] if s.kind in ("b1", "w")} == named
 
 
 def test_reduce_division_and_powers():
